@@ -53,8 +53,11 @@ Dag DagBuilder::build() && {
   if (work_.empty()) throw std::invalid_argument("DAG must be non-empty");
 
   // Sort and deduplicate edges; duplicates are rejected (they usually
-  // indicate a generator bug and would skew in-degree bookkeeping).
-  std::sort(edges_.begin(), edges_.end());
+  // indicate a generator bug and would skew in-degree bookkeeping).  Edges
+  // read back from write_workload already arrive sorted.
+  if (!std::is_sorted(edges_.begin(), edges_.end())) {
+    std::sort(edges_.begin(), edges_.end());
+  }
   const auto dup = std::adjacent_find(edges_.begin(), edges_.end());
   if (dup != edges_.end()) {
     throw std::invalid_argument("duplicate edge " + std::to_string(dup->first) +

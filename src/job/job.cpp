@@ -33,6 +33,7 @@ JobSet::JobSet(std::vector<Job> jobs) : jobs_(std::move(jobs)) { finalize(); }
 void JobSet::add(Job job) { jobs_.push_back(std::move(job)); }
 
 void JobSet::finalize() {
+  if (sorted_by_release()) return;
   std::stable_sort(jobs_.begin(), jobs_.end(),
                    [](const Job& a, const Job& b) {
                      return a.release() < b.release();

@@ -63,6 +63,9 @@ class JobSet {
   /// Appends a job; releases need not arrive sorted, finalize() sorts.
   void add(Job job);
 
+  /// Reserves room for `count` jobs (optional optimization).
+  void reserve(std::size_t count) { jobs_.reserve(count); }
+
   /// Sorts by release time (stable). Must be called before simulation;
   /// engines assert sortedness.
   void finalize();

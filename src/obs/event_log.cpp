@@ -1,5 +1,7 @@
 #include "obs/event_log.h"
 
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 
@@ -55,7 +57,10 @@ double DecisionEvent::detail_value(std::string_view key,
   return fallback;
 }
 
-void write_event_jsonl(std::ostream& out, const DecisionEvent& event) {
+namespace {
+
+/// The reference encoding: a JsonValue object tree, written compactly.
+void write_event_json_tree(std::ostream& out, const DecisionEvent& event) {
   JsonValue line = JsonValue::object();
   line.set("t", JsonValue(event.time));
   line.set("job", JsonValue(static_cast<double>(event.job)));
@@ -70,6 +75,79 @@ void write_event_jsonl(std::ostream& out, const DecisionEvent& event) {
   }
   line.write(out);
   out << '\n';
+}
+
+/// True if JsonValue writes `text` between its quotes unchanged.
+bool needs_no_escape(std::string_view text) {
+  for (const char c : text) {
+    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// True if the direct encoding below produces the tree's bytes: no string
+/// needs escaping and no detail key repeats (JsonValue::set is last-wins).
+bool direct_encoding_matches(const DecisionEvent& event) {
+  if (!needs_no_escape(event.reason)) return false;
+  for (std::size_t i = 0; i < event.detail.size(); ++i) {
+    if (!needs_no_escape(event.detail[i].first)) return false;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (event.detail[j].first == event.detail[i].first) return false;
+    }
+  }
+  return true;
+}
+
+/// Appends `value` exactly as json_number_to_string formats it, without
+/// its temporary string in the common integral case.
+void append_number(std::string& out, double value) {
+  if (value == std::floor(value) && std::abs(value) < 1e15 &&
+      !(value == 0.0 && std::signbit(value))) {
+    char buffer[24];
+    const auto result = std::to_chars(buffer, buffer + sizeof(buffer),
+                                      static_cast<long long>(value));
+    out.append(buffer, result.ptr);
+  } else {
+    out += json_number_to_string(value);
+  }
+}
+
+}  // namespace
+
+void write_event_jsonl(std::ostream& out, const DecisionEvent& event) {
+  if (!direct_encoding_matches(event)) {
+    write_event_json_tree(out, event);
+    return;
+  }
+  thread_local std::string line;
+  line.clear();
+  line += "{\"t\":";
+  append_number(line, event.time);
+  line += ",\"job\":";
+  append_number(line, static_cast<double>(event.job));
+  line += ",\"kind\":\"";
+  line += obs_event_kind_name(event.kind);
+  line += '"';
+  if (!event.reason.empty()) {
+    line += ",\"reason\":\"";
+    line += event.reason;
+    line += '"';
+  }
+  if (!event.detail.empty()) {
+    line += ",\"detail\":{";
+    for (std::size_t i = 0; i < event.detail.size(); ++i) {
+      if (i > 0) line += ',';
+      line += '"';
+      line += event.detail[i].first;
+      line += "\":";
+      append_number(line, event.detail[i].second);
+    }
+    line += '}';
+  }
+  line += "}\n";
+  out.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 void EventLog::write_jsonl(std::ostream& out) const {

@@ -70,7 +70,8 @@ struct DecisionEvent {
   }
 };
 
-/// Writes one event as a compact JSON object followed by '\n'.  Both
+/// Writes one event as a compact JSON object followed by '\n', byte for
+/// byte what JsonValue::write gives for the event's object.  Both
 /// EventLog::write_jsonl and the streaming path below go through this, so
 /// a streamed log is byte-identical to a write-at-end one.
 void write_event_jsonl(std::ostream& out, const DecisionEvent& event);

@@ -13,6 +13,7 @@
 #include "util/csv.h"
 #include "util/float_cmp.h"
 #include "util/parse_error.h"
+#include "util/parse_number.h"
 
 namespace dagsched {
 
@@ -30,22 +31,10 @@ CsvCell trimmed(const CsvCell& cell) {
 double parse_number(const std::string& source, std::size_t line,
                     const CsvCell& cell, const char* what) {
   double value = 0.0;
-  std::size_t used = 0;
-  try {
-    value = std::stod(cell.text, &used);
-  } catch (const std::exception&) {
+  const NumberStatus status = parse_finite_double(cell.text, value);
+  if (status != NumberStatus::kOk) {
     throw ParseError(source, line, cell.column,
-                     std::string("bad ") + what + " '" + cell.text + "'");
-  }
-  if (used != cell.text.size()) {
-    throw ParseError(source, line, cell.column,
-                     std::string("trailing junk in ") + what + " '" +
-                         cell.text + "'");
-  }
-  if (!std::isfinite(value)) {
-    throw ParseError(source, line, cell.column,
-                     std::string(what) + " must be finite, got '" + cell.text +
-                         "'");
+                     number_diagnostic(status, what, cell.text));
   }
   return value;
 }

@@ -1,17 +1,22 @@
 #include "workload/workload_io.h"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <istream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "dag/builder.h"
 #include "util/parse_error.h"
+#include "util/parse_number.h"
 
 namespace dagsched {
 
@@ -19,12 +24,97 @@ namespace {
 
 constexpr const char* kMagic = "dagsched-workload";
 constexpr int kVersion = 1;
+// A lower bound on the bytes of one job record (the shortest possible one,
+// "job 0", "profit step 1 1", "nodes 1", "1", "edges 0", "end", is 44).
+constexpr std::size_t kMinJobBytes = 32;
+
+/// Hands out the input one line at a time as a view into a fixed-size
+/// block read straight from the stream buffer.  A line cut by the end of a
+/// block is carried to the front of the next one; the buffer grows only for
+/// a line longer than a whole block.  Lines are counted from 1.
+class LineReader {
+ public:
+  explicit LineReader(std::istream& is)
+      : in_(*is.rdbuf()), buffer_(kWorkloadBlockBytes) {}
+
+  /// The next line without its '\n'; false at end of input.  The view is
+  /// valid until the next call.
+  bool next(std::string_view& line) {
+    while (true) {
+      const char* begin = buffer_.data() + begin_;
+      const auto* newline =
+          static_cast<const char*>(std::memchr(begin, '\n', end_ - begin_));
+      if (newline != nullptr || (eof_ && begin_ < end_)) {
+        const std::size_t length = newline != nullptr
+                                       ? static_cast<std::size_t>(newline - begin)
+                                       : end_ - begin_;
+        line = std::string_view(begin, length);
+        begin_ = std::min(end_, begin_ + length + 1);
+        ++lineno_;
+        return true;
+      }
+      if (eof_) return false;
+      refill();
+    }
+  }
+
+  /// The next line that is neither blank nor a '#' comment.
+  bool next_content(std::string_view& line) {
+    while (next(line)) {
+      if (!is_comment_or_blank(line)) return true;
+    }
+    return false;
+  }
+
+  std::size_t lineno() const { return lineno_; }
+
+  /// `count` capped by how many items of at least `min_bytes` bytes each
+  /// the unread input could still hold, so a hostile count in the file
+  /// cannot make a reserve() allocate more than the input justifies.
+  std::size_t cap_by_input(std::size_t count, std::size_t min_bytes) {
+    std::size_t cap = (end_ - begin_) / min_bytes;
+    if (count > cap && !eof_) {
+      const std::streamsize avail = in_.in_avail();
+      if (avail > 0) cap += static_cast<std::size_t>(avail) / min_bytes;
+    }
+    return std::min(count, cap);
+  }
+
+  static bool is_comment_or_blank(std::string_view line) {
+    const auto first = line.find_first_not_of(" \t\r");
+    return first == std::string_view::npos || line[first] == '#';
+  }
+
+ private:
+  void refill() {
+    const std::size_t carry = end_ - begin_;
+    std::memmove(buffer_.data(), buffer_.data() + begin_, carry);
+    begin_ = 0;
+    end_ = carry;
+    if (carry == buffer_.size()) buffer_.resize(2 * buffer_.size());
+    const std::streamsize got =
+        in_.sgetn(buffer_.data() + end_,
+                  static_cast<std::streamsize>(buffer_.size() - end_));
+    if (got <= 0) {
+      eof_ = true;
+    } else {
+      end_ += static_cast<std::size_t>(got);
+    }
+  }
+
+  std::streambuf& in_;
+  std::vector<char> buffer_;
+  std::size_t begin_ = 0;  // first unread byte
+  std::size_t end_ = 0;    // one past the last buffered byte
+  std::size_t lineno_ = 0;
+  bool eof_ = false;
+};
 
 /// Whitespace-token cursor over one line, tracking the 1-based column of
 /// each token so diagnostics can point at the offending field.
 class LineParser {
  public:
-  LineParser(const std::string& source, const std::string& line,
+  LineParser(const std::string& source, std::string_view line,
              std::size_t lineno)
       : source_(source), line_(line), lineno_(lineno) {}
 
@@ -43,86 +133,78 @@ class LineParser {
     return pos_ + 1;
   }
 
-  std::string token(const std::string& what) {
+  std::string_view token(const char* what) {
     skip_ws();
-    if (pos_ >= line_.size()) fail(pos_ + 1, "missing " + what);
+    if (pos_ >= line_.size()) fail(pos_ + 1, std::string("missing ") + what);
     const std::size_t start = pos_;
     while (pos_ < line_.size() && !is_ws(line_[pos_])) ++pos_;
     return line_.substr(start, pos_ - start);
   }
 
   /// Parses a finite double; rejects NaN/inf and trailing junk.
-  double number(const std::string& what) {
-    skip_ws();
-    const std::size_t column = pos_ + 1;
-    const std::string tok = token(what);
+  double number(const char* what) {
+    const std::size_t column = next_column();
+    const std::string_view tok = token(what);
     double value = 0.0;
-    std::size_t used = 0;
-    try {
-      value = std::stod(tok, &used);
-    } catch (const std::exception&) {
-      fail(column, "bad " + what + " '" + tok + "'");
-    }
-    if (used != tok.size()) {
-      fail(column, "trailing junk in " + what + " '" + tok + "'");
-    }
-    if (!std::isfinite(value)) {
-      fail(column, what + " must be finite, got '" + tok + "'");
+    const NumberStatus status = parse_finite_double(tok, value);
+    if (status != NumberStatus::kOk) {
+      fail(column, number_diagnostic(status, what, tok));
     }
     return value;
   }
 
   /// Parses a non-negative integer (node ids, counts).
-  std::size_t index(const std::string& what) {
-    skip_ws();
-    const std::size_t column = pos_ + 1;
-    const std::string tok = token(what);
-    if (tok.empty() || tok[0] == '-' || tok[0] == '+') {
-      fail(column, "bad " + what + " '" + tok + "' (expected a non-negative "
-                   "integer)");
-    }
+  std::size_t index(const char* what) {
+    const std::size_t column = next_column();
+    const std::string_view tok = token(what);
     for (const char c : tok) {
-      if (std::isdigit(static_cast<unsigned char>(c)) == 0) {
-        fail(column, "bad " + what + " '" + tok + "' (expected a non-negative "
-                     "integer)");
+      if (c < '0' || c > '9') {
+        fail(column, "bad " + std::string(what) + " '" + std::string(tok) +
+                         "' (expected a non-negative integer)");
       }
     }
     std::size_t value = 0;
-    try {
-      value = std::stoull(tok);
-    } catch (const std::exception&) {
-      fail(column, what + " '" + tok + "' out of range");
+    const auto [ptr, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), value);
+    if (ec != std::errc{}) {
+      fail(column, std::string(what) + " '" + std::string(tok) +
+                       "' out of range");
     }
     return value;
   }
 
   void expect_end() {
-    if (!at_end()) fail(pos_ + 1, "trailing junk '" + rest() + "'");
+    if (!at_end()) {
+      fail(pos_ + 1, "trailing junk '" + std::string(line_.substr(pos_)) +
+                         "'");
+    }
   }
+
+  /// Bytes left on the line after the cursor.
+  std::size_t remaining() const { return line_.size() - pos_; }
 
  private:
   static bool is_ws(char c) { return c == ' ' || c == '\t' || c == '\r'; }
   void skip_ws() {
     while (pos_ < line_.size() && is_ws(line_[pos_])) ++pos_;
   }
-  std::string rest() const { return line_.substr(pos_); }
 
   const std::string& source_;
-  const std::string& line_;
+  std::string_view line_;
   std::size_t lineno_;
   std::size_t pos_ = 0;
 };
 
-/// Reads the next non-empty, non-comment line; returns false at EOF.
-bool next_line(std::istream& is, std::string& line, std::size_t& lineno) {
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#') continue;
-    return true;
-  }
-  return false;
+/// The job count from write_workload's "# N jobs" comment, or 0 when
+/// `line` is any other comment.
+std::size_t job_count_hint(std::string_view line) {
+  if (line.substr(0, 2) != "# ") return 0;
+  std::size_t count = 0;
+  const char* end = line.data() + line.size();
+  const auto [ptr, ec] = std::from_chars(line.data() + 2, end, count);
+  if (ec != std::errc{}) return 0;
+  const std::string_view rest(ptr, static_cast<std::size_t>(end - ptr));
+  return rest == " jobs" || rest == " jobs\r" ? count : 0;
 }
 
 void write_profit(std::ostream& os, const ProfitFn& fn) {
@@ -177,16 +259,16 @@ void write_profit(std::ostream& os, const ProfitFn& fn) {
   }
 }
 
-ProfitFn read_profit(const std::string& source, const std::string& line,
+ProfitFn read_profit(const std::string& source, std::string_view line,
                      std::size_t lineno) {
   LineParser in(source, line, lineno);
   const std::size_t kw_col = in.next_column();
-  const std::string keyword = in.token("profit keyword");
+  const std::string_view keyword = in.token("profit keyword");
   if (keyword != "profit") {
-    in.fail(kw_col, "expected 'profit', got '" + keyword + "'");
+    in.fail(kw_col, "expected 'profit', got '" + std::string(keyword) + "'");
   }
   const std::size_t kind_col = in.next_column();
-  const std::string kind = in.token("profit kind");
+  const std::string_view kind = in.token("profit kind");
   if (kind == "step") {
     const std::size_t p_col = in.next_column();
     const double p = in.number("peak profit");
@@ -229,23 +311,30 @@ ProfitFn read_profit(const std::string& source, const std::string& line,
     const std::size_t count_col = in.next_column();
     const std::size_t count = in.index("piecewise level count");
     if (count == 0) in.fail(count_col, "piecewise level count must be >= 1");
-    std::vector<std::pair<Time, Profit>> levels(count);
+    // Each level takes at least four bytes ("1 1 "); the cap keeps a
+    // hostile count from reserving more than the line could hold.
+    std::vector<std::pair<Time, Profit>> levels;
+    levels.reserve(std::min(count, (in.remaining() + 1) / 4));
     Time prev_end = 0.0;
-    for (auto& [t, p] : levels) {
+    for (std::size_t i = 0; i < count; ++i) {
       const std::size_t t_col = in.next_column();
-      t = in.number("piecewise level end");
+      const Time t = in.number("piecewise level end");
       const std::size_t p_col = in.next_column();
-      p = in.number("piecewise level profit");
+      const Profit p = in.number("piecewise level profit");
       if (!(t > prev_end)) {
         in.fail(t_col, "piecewise level ends must be strictly increasing");
       }
       if (!(p > 0.0)) in.fail(p_col, "piecewise profit must be positive");
+      if (!levels.empty() && p > levels.back().second) {
+        in.fail(p_col, "piecewise level profits must not increase");
+      }
+      levels.emplace_back(t, p);
       prev_end = t;
     }
     in.expect_end();
     return ProfitFn::piecewise(std::move(levels));
   }
-  in.fail(kind_col, "unknown profit kind '" + kind + "'");
+  in.fail(kind_col, "unknown profit kind '" + std::string(kind) + "'");
 }
 
 }  // namespace
@@ -274,15 +363,25 @@ void write_workload(std::ostream& os, const JobSet& jobs) {
 }
 
 JobSet read_workload(std::istream& is, const std::string& source) {
-  std::string line;
-  std::size_t lineno = 0;
-  if (!next_line(is, line, lineno)) {
+  LineReader reader(is);
+  std::string_view line;
+  // Reads the next content line or throws "missing <what>" one line past
+  // the end of input.
+  const auto require_line = [&](const char* missing) {
+    if (!reader.next_content(line)) {
+      throw ParseError(source, reader.lineno() + 1, 1,
+                       std::string("missing ") + missing);
+    }
+    return LineParser(source, line, reader.lineno());
+  };
+
+  if (!reader.next_content(line)) {
     throw ParseError(source, 1, 1, "empty input");
   }
   {
-    LineParser in(source, line, lineno);
+    LineParser in(source, line, reader.lineno());
     const std::size_t magic_col = in.next_column();
-    const std::string magic = in.token("header magic");
+    const std::string_view magic = in.token("header magic");
     if (magic != kMagic) {
       in.fail(magic_col, "bad header (expected '" + std::string(kMagic) +
                              " " + std::to_string(kVersion) + "')");
@@ -297,118 +396,116 @@ JobSet read_workload(std::istream& is, const std::string& source) {
     in.expect_end();
   }
 
+  // write_workload's "# N jobs" comment, if present before the first job,
+  // pre-sizes the JobSet.
   JobSet jobs;
-  while (next_line(is, line, lineno)) {
+  bool more = false;
+  while (!more && reader.next(line)) {
+    if (!LineReader::is_comment_or_blank(line)) {
+      more = true;
+    } else if (const std::size_t hint = job_count_hint(line); hint > 0) {
+      jobs.reserve(reader.cap_by_input(hint, kMinJobBytes));
+    }
+  }
+
+  for (; more; more = reader.next_content(line)) {
+    LineParser job_in(source, line, reader.lineno());
+    const std::size_t kw_col = job_in.next_column();
+    const std::string_view keyword = job_in.token("job keyword");
+    if (keyword != "job") {
+      job_in.fail(kw_col, "expected 'job', got '" + std::string(keyword) +
+                              "'");
+    }
+    const std::size_t release_col = job_in.next_column();
+    const Time release = job_in.number("release time");
+    if (release < 0.0) job_in.fail(release_col, "release time must be >= 0");
+    job_in.expect_end();
+
+    require_line("profit line");
+    ProfitFn profit = read_profit(source, line, reader.lineno());
+
+    std::size_t num_nodes = 0;
     {
-      LineParser in(source, line, lineno);
-      const std::size_t kw_col = in.next_column();
-      const std::string keyword = in.token("job keyword");
-      if (keyword != "job") {
-        in.fail(kw_col, "expected 'job', got '" + keyword + "'");
+      LineParser nodes_in = require_line("nodes line");
+      const std::size_t nodes_kw_col = nodes_in.next_column();
+      const std::string_view nodes_kw = nodes_in.token("nodes keyword");
+      if (nodes_kw != "nodes") {
+        nodes_in.fail(nodes_kw_col, "expected 'nodes', got '" +
+                                        std::string(nodes_kw) + "'");
       }
-      const std::size_t release_col = in.next_column();
-      const Time release = in.number("release time");
-      if (release < 0.0) in.fail(release_col, "release time must be >= 0");
-      in.expect_end();
+      const std::size_t count_col = nodes_in.next_column();
+      num_nodes = nodes_in.index("node count");
+      if (num_nodes == 0) nodes_in.fail(count_col, "node count must be >= 1");
+      nodes_in.expect_end();
+    }
+    DagBuilder builder;
+    {
+      LineParser works_in = require_line("node works line");
+      // Each work takes at least two bytes ("1 ").
+      builder.reserve(std::min(num_nodes, (line.size() + 1) / 2));
+      for (std::size_t i = 0; i < num_nodes; ++i) {
+        const std::size_t work_col = works_in.next_column();
+        const Work work = works_in.number("node work");
+        if (!(work > 0.0)) {
+          works_in.fail(work_col, "node work must be positive");
+        }
+        builder.add_node(work);
+      }
+      works_in.expect_end();
+    }
 
-      if (!next_line(is, line, lineno)) {
-        throw ParseError(source, lineno + 1, 1, "missing profit line");
+    std::size_t num_edges = 0;
+    {
+      LineParser edges_in = require_line("edges line");
+      const std::size_t edges_kw_col = edges_in.next_column();
+      const std::string_view edges_kw = edges_in.token("edges keyword");
+      if (edges_kw != "edges") {
+        edges_in.fail(edges_kw_col, "expected 'edges', got '" +
+                                        std::string(edges_kw) + "'");
       }
-      ProfitFn profit = read_profit(source, line, lineno);
-
-      if (!next_line(is, line, lineno)) {
-        throw ParseError(source, lineno + 1, 1, "missing nodes line");
-      }
-      std::size_t num_nodes = 0;
-      {
-        LineParser nodes_in(source, line, lineno);
-        const std::size_t nodes_kw_col = nodes_in.next_column();
-        const std::string nodes_kw = nodes_in.token("nodes keyword");
-        if (nodes_kw != "nodes") {
-          nodes_in.fail(nodes_kw_col, "expected 'nodes', got '" + nodes_kw +
-                                          "'");
-        }
-        const std::size_t count_col = nodes_in.next_column();
-        num_nodes = nodes_in.index("node count");
-        if (num_nodes == 0) nodes_in.fail(count_col, "node count must be >= 1");
-        nodes_in.expect_end();
-      }
-      if (!next_line(is, line, lineno)) {
-        throw ParseError(source, lineno + 1, 1, "missing node works line");
-      }
-      DagBuilder builder;
-      {
-        LineParser works_in(source, line, lineno);
-        for (std::size_t i = 0; i < num_nodes; ++i) {
-          const std::size_t work_col = works_in.next_column();
-          const Work work = works_in.number("node work");
-          if (!(work > 0.0)) {
-            works_in.fail(work_col, "node work must be positive");
-          }
-          builder.add_node(work);
-        }
-        works_in.expect_end();
-      }
-
-      if (!next_line(is, line, lineno)) {
-        throw ParseError(source, lineno + 1, 1, "missing edges line");
-      }
-      std::size_t num_edges = 0;
-      {
-        LineParser edges_in(source, line, lineno);
-        const std::size_t edges_kw_col = edges_in.next_column();
-        const std::string edges_kw = edges_in.token("edges keyword");
-        if (edges_kw != "edges") {
-          edges_in.fail(edges_kw_col, "expected 'edges', got '" + edges_kw +
-                                          "'");
-        }
-        num_edges = edges_in.index("edge count");
-        edges_in.expect_end();
-      }
-      for (std::size_t e = 0; e < num_edges; ++e) {
-        if (!next_line(is, line, lineno)) {
-          throw ParseError(source, lineno + 1, 1, "missing edge line");
-        }
-        LineParser edge_in(source, line, lineno);
-        const std::size_t from_col = edge_in.next_column();
-        const std::size_t from = edge_in.index("edge source");
-        const std::size_t to_col = edge_in.next_column();
-        const std::size_t to = edge_in.index("edge target");
-        if (from >= num_nodes) {
-          edge_in.fail(from_col, "edge source " + std::to_string(from) +
-                                     " out of range (nodes: " +
-                                     std::to_string(num_nodes) + ")");
-        }
-        if (to >= num_nodes) {
-          edge_in.fail(to_col, "edge target " + std::to_string(to) +
+      num_edges = edges_in.index("edge count");
+      edges_in.expect_end();
+    }
+    // Each edge line takes at least four bytes ("0 1\n").
+    builder.reserve(num_nodes, reader.cap_by_input(num_edges, 4));
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      LineParser edge_in = require_line("edge line");
+      const std::size_t from_col = edge_in.next_column();
+      const std::size_t from = edge_in.index("edge source");
+      const std::size_t to_col = edge_in.next_column();
+      const std::size_t to = edge_in.index("edge target");
+      if (from >= num_nodes) {
+        edge_in.fail(from_col, "edge source " + std::to_string(from) +
                                    " out of range (nodes: " +
                                    std::to_string(num_nodes) + ")");
-        }
-        if (from == to) edge_in.fail(from_col, "self-edge");
-        edge_in.expect_end();
-        builder.add_edge(static_cast<NodeId>(from), static_cast<NodeId>(to));
       }
+      if (to >= num_nodes) {
+        edge_in.fail(to_col, "edge target " + std::to_string(to) +
+                                 " out of range (nodes: " +
+                                 std::to_string(num_nodes) + ")");
+      }
+      if (from == to) edge_in.fail(from_col, "self-edge");
+      edge_in.expect_end();
+      builder.add_edge(static_cast<NodeId>(from), static_cast<NodeId>(to));
+    }
 
-      if (!next_line(is, line, lineno)) {
-        throw ParseError(source, lineno + 1, 1, "missing 'end'");
-      }
-      LineParser end_in(source, line, lineno);
-      const std::size_t end_col = end_in.next_column();
-      const std::string end_kw = end_in.token("end keyword");
-      if (end_kw != "end") {
-        end_in.fail(end_col, "expected 'end', got '" + end_kw + "'");
-      }
-      end_in.expect_end();
+    LineParser end_in = require_line("'end'");
+    const std::size_t end_col = end_in.next_column();
+    const std::string_view end_kw = end_in.token("end keyword");
+    if (end_kw != "end") {
+      end_in.fail(end_col, "expected 'end', got '" + std::string(end_kw) +
+                               "'");
+    }
+    end_in.expect_end();
 
-      // DagBuilder::build() validates acyclicity and duplicate edges; wrap
-      // its exception so the caller still gets a positioned diagnostic.
-      try {
-        jobs.add(Job(std::make_shared<const Dag>(std::move(builder).build()),
-                     release, std::move(profit)));
-      } catch (const std::invalid_argument& err) {
-        throw ParseError(source, lineno, 1,
-                         std::string("invalid DAG: ") + err.what());
-      }
+    // DagBuilder::build() validates acyclicity and duplicate edges; wrap
+    // its exception so the caller still gets a positioned diagnostic.
+    try {
+      jobs.add(Job(std::make_shared<const Dag>(std::move(builder).build()),
+                   release, std::move(profit)));
+    } catch (const std::invalid_argument& err) {
+      throw ParseError(source, reader.lineno(), 1,
+                       std::string("invalid DAG: ") + err.what());
     }
   }
   jobs.finalize();

@@ -19,12 +19,17 @@
 // validated (finite, positive work, in-range edge endpoints, acyclic).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
 #include "job/job.h"
 
 namespace dagsched {
+
+/// read_workload reads its input in blocks of this many bytes, so it holds
+/// one block (plus the longest line) rather than the whole file.
+inline constexpr std::size_t kWorkloadBlockBytes = std::size_t{1} << 20;
 
 void write_workload(std::ostream& os, const JobSet& jobs);
 /// `source` names the input in diagnostics (file path or "<stream>").

@@ -1,7 +1,10 @@
 // Unit tests for Dag / DagBuilder: validation, CSR adjacency, metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "dag/builder.h"
 #include "dag/dag.h"
@@ -65,6 +68,59 @@ TEST(DagBuilder, RejectsCycle) {
   b.add_edge(c, d);
   b.add_edge(d, a);
   EXPECT_THROW(std::move(b).build(), std::invalid_argument);
+}
+
+// build() skips its edge sort when the edges already arrive sorted (as
+// write_workload emits them); both paths must produce the same DAG and
+// run the same duplicate and cycle checks.
+Dag build_with_edges(const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  DagBuilder b;
+  for (int i = 0; i < 5; ++i) b.add_node(1.0 + i);
+  for (const auto& [from, to] : edges) b.add_edge(from, to);
+  return std::move(b).build();
+}
+
+TEST(DagBuilder, UnsortedEdgesBuildTheSameCsrAsSorted) {
+  const std::vector<std::pair<NodeId, NodeId>> sorted = {
+      {0, 1}, {0, 2}, {0, 4}, {1, 3}, {2, 3}, {3, 4}};
+  const std::vector<std::pair<NodeId, NodeId>> unsorted = {
+      {3, 4}, {0, 4}, {2, 3}, {0, 1}, {1, 3}, {0, 2}};
+  const Dag a = build_with_edges(sorted);
+  const Dag b = build_with_edges(unsorted);
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    const auto succ_a = a.successors(v);
+    const auto succ_b = b.successors(v);
+    EXPECT_TRUE(std::equal(succ_a.begin(), succ_a.end(), succ_b.begin(),
+                           succ_b.end()))
+        << "successors of " << v;
+    const auto pred_a = a.predecessors(v);
+    const auto pred_b = b.predecessors(v);
+    EXPECT_TRUE(std::equal(pred_a.begin(), pred_a.end(), pred_b.begin(),
+                           pred_b.end()))
+        << "predecessors of " << v;
+    EXPECT_EQ(a.bottom_level(v), b.bottom_level(v));
+  }
+  const auto topo_a = a.topological_order();
+  const auto topo_b = b.topological_order();
+  EXPECT_TRUE(
+      std::equal(topo_a.begin(), topo_a.end(), topo_b.begin(), topo_b.end()));
+  EXPECT_EQ(a.span(), b.span());
+  EXPECT_EQ(a.total_work(), b.total_work());
+}
+
+TEST(DagBuilder, DuplicateEdgeRejectedOnSortedAndUnsortedPaths) {
+  EXPECT_THROW(build_with_edges({{0, 1}, {1, 2}, {1, 2}, {2, 3}}),
+               std::invalid_argument);
+  EXPECT_THROW(build_with_edges({{1, 2}, {0, 1}, {2, 3}, {1, 2}}),
+               std::invalid_argument);
+}
+
+TEST(DagBuilder, CycleRejectedOnSortedAndUnsortedPaths) {
+  EXPECT_THROW(build_with_edges({{0, 1}, {1, 2}, {2, 0}}),
+               std::invalid_argument);
+  EXPECT_THROW(build_with_edges({{2, 0}, {0, 1}, {3, 4}, {1, 2}}),
+               std::invalid_argument);
 }
 
 TEST(Dag, DiamondMetrics) {

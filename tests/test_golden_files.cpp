@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
+#include <string>
 
+#include "exp/sweep/sweep.h"
+#include "obs/event_log.h"
 #include "workload/trace_import.h"
 #include "workload/workload_io.h"
 
@@ -76,6 +80,62 @@ TEST(GoldenFiles, SampleTraceParsesToKnownValues) {
   EXPECT_NEAR(jobs[2].span(), 2.0, 1e-9);
   EXPECT_DOUBLE_EQ(jobs[3].release(), 6.0);
 }
+
+// Event-log goldens, written by the JsonValue-tree event writer before the
+// direct writer replaced it: `dagsched run data/sample.wl --scheduler s
+// --m 8 --events ...`, without faults and with the churn spec below.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+struct EventGolden {
+  const char* file;
+  const char* fault_spec;
+};
+
+class GoldenEvents : public ::testing::TestWithParam<EventGolden> {};
+
+TEST_P(GoldenEvents, SampleRunEmitsTheCheckedInLog) {
+  const std::string golden = read_file(kDataDir + "/" + GetParam().file);
+  ASSERT_FALSE(golden.empty());
+  const JobSet jobs = load_workload(kDataDir + "/sample.wl");
+  SweepCellSpec spec;
+  spec.id = GetParam().file;
+  spec.jobs = &jobs;
+  spec.scheduler = "s";
+  spec.m = 8;
+  spec.fault_spec = GetParam().fault_spec;
+  SweepOptions options;
+  options.capture_events = true;
+  const SweepCellResult result = run_sweep_cell(spec, options);
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.events_jsonl, golden);
+}
+
+TEST_P(GoldenEvents, ParsedLogRewritesByteForByte) {
+  const std::string golden = read_file(kDataDir + "/" + GetParam().file);
+  std::istringstream in(golden);
+  std::string error;
+  const auto events = EventLog::parse_jsonl(in, &error);
+  ASSERT_TRUE(events.has_value()) << error;
+  std::ostringstream out;
+  for (const DecisionEvent& event : *events) write_event_jsonl(out, event);
+  EXPECT_EQ(out.str(), golden);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SampleRuns, GoldenEvents,
+    ::testing::Values(
+        EventGolden{"sample.events.jsonl", ""},
+        EventGolden{"sample.churn.events.jsonl",
+                    "mtbf=5,mttr=2,horizon=40,seed=7,min-procs=2,"
+                    "restart=resume"}),
+    [](const ::testing::TestParamInfo<EventGolden>& param_info) {
+      return param_info.index == 0 ? std::string("none") : std::string("churn");
+    });
 
 }  // namespace
 }  // namespace dagsched

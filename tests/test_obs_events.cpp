@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +23,7 @@
 #include "obs/trace_export.h"
 #include "sim/event_engine.h"
 #include "sim/slot_engine.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace dagsched {
@@ -100,6 +104,97 @@ TEST(EventLog, FaultEventKindsRoundTripExactly) {
   ASSERT_EQ(parsed->size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ((*parsed)[i], log.events()[i]) << "event " << i;
+  }
+}
+
+// write_event_jsonl appends its line directly; it must stay byte-equal to
+// the JsonValue object tree it replaced, which is rebuilt here.
+std::string tree_encoding(const DecisionEvent& event) {
+  JsonValue line = JsonValue::object();
+  line.set("t", JsonValue(event.time));
+  line.set("job", JsonValue(static_cast<double>(event.job)));
+  line.set("kind", JsonValue(obs_event_kind_name(event.kind)));
+  if (!event.reason.empty()) line.set("reason", JsonValue(event.reason));
+  if (!event.detail.empty()) {
+    JsonValue detail = JsonValue::object();
+    for (const auto& [key, value] : event.detail) {
+      detail.set(key, JsonValue(value));
+    }
+    line.set("detail", std::move(detail));
+  }
+  return line.dump() + "\n";
+}
+
+/// Doubles whose encodings sit on a branch of json_number_to_string.
+double tricky_number(Rng& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double pool[] = {0.0,        -0.0,       1.0,          -1.0,
+                         1e15,       -1e15,      1e15 - 1,     1e15 + 1,
+                         -(1e15 - 1), -(1e15 + 1), 999999999999999.5,
+                         0.5,        -2.25,      1e-7,         1e300,
+                         4294967295.0, inf,      -inf,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         5e-324,     1.0 / 3.0,  9007199254740993.0};
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      return pool[rng.uniform_int(0, std::size(pool) - 1)];
+    case 1:
+      return rng.uniform(-1e6, 1e6);
+    case 2:
+      return static_cast<double>(rng.uniform_int(-2'000'000'000'000'000LL,
+                                                 2'000'000'000'000'000LL));
+    default: {
+      const std::uint64_t bits = rng();
+      double value = 0.0;
+      std::memcpy(&value, &bits, sizeof(value));
+      return value;
+    }
+  }
+}
+
+TEST(EventLog, DirectWriterMatchesJsonTreeOnRandomEvents) {
+  const char* reasons[] = {"",          "stale",      "cond2-ok",
+                           "q\"uote",   "back\\slash", "tab\there",
+                           "nl\nx",     "\x01ctl",    "\x1f",
+                           "\xc3\xa9-utf8", "overload.shed.x", "{}[]:,"};
+  const char* keys[] = {"v", "n", "good", "proc", "k\"q", "\x02", "", "\xc3\xa9"};
+  Rng rng(1217);
+  for (int trial = 0; trial < 20000; ++trial) {
+    DecisionEvent event;
+    event.time = tricky_number(rng);
+    event.job = rng.bernoulli(0.1)
+                    ? kInvalidJob
+                    : static_cast<JobId>(rng.uniform_int(0, 4'000'000'000LL));
+    event.kind = static_cast<ObsEventKind>(rng.uniform_int(0, 14));
+    event.reason = reasons[rng.uniform_int(0, std::size(reasons) - 1)];
+    const auto details = rng.uniform_int(0, 4);
+    for (std::int64_t i = 0; i < details; ++i) {
+      event.detail.emplace_back(keys[rng.uniform_int(0, std::size(keys) - 1)],
+                                tricky_number(rng));
+    }
+
+    std::ostringstream direct;
+    write_event_jsonl(direct, event);
+    const std::string expected = tree_encoding(event);
+    ASSERT_EQ(direct.str(), expected) << "trial " << trial;
+
+    // The line parses back, and an event without non-finite values (which
+    // encode as +-1e308 or 0) or repeated keys comes back unchanged.
+    std::istringstream in(direct.str());
+    std::string error;
+    const auto parsed = EventLog::parse_jsonl(in, &error);
+    ASSERT_TRUE(parsed.has_value()) << error << " in " << direct.str();
+    ASSERT_EQ(parsed->size(), 1u);
+    bool exact = std::isfinite(event.time);
+    for (std::size_t i = 0; i < event.detail.size(); ++i) {
+      exact = exact && std::isfinite(event.detail[i].second);
+      for (std::size_t j = 0; j < i; ++j) {
+        exact = exact && event.detail[i].first != event.detail[j].first;
+      }
+    }
+    if (exact) {
+      EXPECT_EQ(parsed->front(), event) << direct.str();
+    }
   }
 }
 

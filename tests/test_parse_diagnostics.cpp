@@ -171,6 +171,88 @@ TEST(TraceDiagnostics, CrlfAndTrailingBlanksParse) {
   EXPECT_DOUBLE_EQ(jobs[1].work(), 8.0);
 }
 
+// Number syntax is shared by .wl and .csv (util/parse_number.h).  These
+// pin the inputs where std::from_chars and the std::stod the importers
+// used to call disagree, plus the edge cases both reject or accept.
+struct NumberCase {
+  const char* token;
+  const char* message;  // nullptr: accepted, with value `value`
+  double value;
+};
+
+const NumberCase kNumberCases[] = {
+    {"+1.5", nullptr, 1.5},
+    {".5", nullptr, 0.5},
+    {"5.", nullptr, 5.0},
+    {"2.5e-308", nullptr, 2.5e-308},  // smallest normals still parse
+    {"4.9e-324", "bad {} '4.9e-324'", 0.0},
+    {"1e-320", "bad {} '1e-320'", 0.0},
+    {"1e-400", "bad {} '1e-400'", 0.0},
+    {"1e400", "bad {} '1e400'", 0.0},
+    {"0x10", "trailing junk in {} '0x10'", 0.0},
+    {"+-1", "bad {} '+-1'", 0.0},
+    {"++1", "bad {} '++1'", 0.0},
+    {"nan", "{} must be finite, got 'nan'", 0.0},
+    {"inf", "{} must be finite, got 'inf'", 0.0},
+    {"+inf", "{} must be finite, got '+inf'", 0.0},
+};
+
+std::string expand(const char* pattern, const std::string& what) {
+  std::string text = pattern;
+  text.replace(text.find("{}"), 2, what);
+  return text;
+}
+
+TEST(NumberSyntax, WorkloadNodeWork) {
+  for (const NumberCase& c : kNumberCases) {
+    const std::string text = std::string(
+                                 "dagsched-workload 1\njob 0\n"
+                                 "profit step 2 10\nnodes 2\n1 ") +
+                             c.token + "\nedges 0\nend\n";
+    if (c.message == nullptr) {
+      std::istringstream in(text);
+      const JobSet jobs = read_workload(in, "test.wl");
+      ASSERT_EQ(jobs.size(), 1u) << c.token;
+      EXPECT_EQ(jobs[0].dag().node_work(1), c.value) << c.token;
+      continue;
+    }
+    const ParseError error = capture_wl(text);
+    EXPECT_EQ(std::string(error.what()),
+              "test.wl:5:3: " + expand(c.message, "node work"))
+        << c.token;
+  }
+}
+
+TEST(NumberSyntax, TraceProfit) {
+  const std::string header = "release,work,span,deadline,profit\n";
+  for (const NumberCase& c : kNumberCases) {
+    const std::string text = header + "0,10,2,20," + c.token + "\n";
+    if (c.message == nullptr) {
+      std::istringstream in(text);
+      const JobSet jobs = import_trace_csv(in, {}, "test.csv");
+      ASSERT_EQ(jobs.size(), 1u) << c.token;
+      EXPECT_EQ(jobs[0].peak_profit(), c.value) << c.token;
+      continue;
+    }
+    const ParseError error = capture_csv(text);
+    EXPECT_EQ(std::string(error.what()),
+              "test.csv:2:11: " + expand(c.message, "profit"))
+        << c.token;
+  }
+}
+
+TEST(NumberSyntax, WorkloadReleaseAcceptsLeadingPlus) {
+  std::istringstream in(
+      "dagsched-workload 1\njob +2.5\nprofit step +2 +10\nnodes 1\n+3\n"
+      "edges 0\nend\n");
+  const JobSet jobs = read_workload(in, "test.wl");
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].release(), 2.5);
+  EXPECT_EQ(jobs[0].peak_profit(), 2.0);
+  EXPECT_EQ(jobs[0].relative_deadline(), 10.0);
+  EXPECT_EQ(jobs[0].work(), 3.0);
+}
+
 TEST(CsvSplit, TracksColumnsAndQuotes) {
   const auto cells = split_csv_line("a,\"b,c\",d\r");
   ASSERT_EQ(cells.size(), 3u);
