@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/equi.h"
 #include "baselines/list_scheduler.h"
 #include "core/deadline_scheduler.h"
 #include "core/density_index.h"
@@ -153,6 +154,27 @@ void BM_EventEngineLlfScale(benchmark::State& state) {
   state.counters["jobs"] = static_cast<double>(jobs.size());
 }
 BENCHMARK(BM_EventEngineLlfScale)->Arg(1000)->Arg(10000)->Arg(100000);
+
+/// EQUI keeps the same kind of incremental candidate list as kLlf
+/// (baselines/equi.h): decide() walks only arrived, unexpired, incomplete
+/// jobs.  Before the list it rescanned the whole active set, expired jobs
+/// included, which made the 100000-arg point quadratic.
+void BM_EventEngineEquiScale(benchmark::State& state) {
+  const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
+  std::size_t decisions = 0;
+  for (auto _ : state) {
+    EquiScheduler scheduler;
+    auto sel = make_selector(SelectorKind::kFifo);
+    EngineOptions options;
+    options.num_procs = 16;
+    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    decisions += result.decisions;
+    benchmark::DoNotOptimize(result.total_profit);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(decisions));
+  state.counters["jobs"] = static_cast<double>(jobs.size());
+}
+BENCHMARK(BM_EventEngineEquiScale)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_SlotEngineEdfScale(benchmark::State& state) {
   const JobSet jobs = make_scale_jobs(static_cast<std::size_t>(state.range(0)));
@@ -416,6 +438,7 @@ int main(int argc, char** argv) {
       "BM_OptUpperBoundLp/50$|BM_DagGeneration$|"
       "BM_EventEnginePaperSScale/10000$|BM_EventEngineEdfScale/10000$|"
       "BM_SlotEngineEdfScale/10000$|BM_EventEngineLlfScale/10000$|"
+      "BM_EventEngineEquiScale/10000$|"
       "BM_EventEnginePaperSScale/100000$|BM_EventEngineEdfScale/100000$|"
       "BM_SlotEngineEdfScale/100000$|BM_EventEngineLlfScale/100000$|"
       "BM_DensityQueueOps/100000$|"

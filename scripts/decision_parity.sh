@@ -9,8 +9,9 @@
 #      churn-zero} (x both engines where the scheduler supports them) over
 #      generated workloads and save the event logs:
 #        scripts/decision_parity.sh emit BUILD_DIR OUT_DIR
-#   2. diff mode: compare two such log directories decisions-only with
-#      `dagsched trace diff --decisions` (exit 4 on divergence):
+#   2. diff mode: require every log pair in two such directories to be
+#      byte-identical (`cmp`); on a mismatch, print the decisions-only
+#      `dagsched trace diff --decisions` to locate the first divergence:
 #        scripts/decision_parity.sh diff BUILD_DIR PRE_DIR POST_DIR
 #   3. telemetry mode: run the whole matrix twice -- once plain
 #      (--no-telemetry), once with per-cell telemetry recorders attached --
@@ -123,13 +124,13 @@ diff_dirs() {
     if [ ! -f "$post/$base" ]; then
       echo "MISSING in post: $base"; fail=1; continue
     fi
-    if ! "$cli" trace diff "$f" "$post/$base" --decisions >/dev/null; then
+    if ! cmp -s "$f" "$post/$base"; then
       echo "DIVERGED: $base"
       "$cli" trace diff "$f" "$post/$base" --decisions || true
       fail=1
     fi
   done
-  [ "$fail" -eq 0 ] && echo "decision-log parity: all $(ls "$pre"/*.jsonl | wc -l) combos identical"
+  [ "$fail" -eq 0 ] && echo "decision-log parity: all $(ls "$pre"/*.jsonl | wc -l) combos byte-identical"
   return "$fail"
 }
 

@@ -96,6 +96,10 @@ struct EventGolden {
   const char* fault_spec;
 };
 
+// Without this, gtest prints the parameter as its raw bytes, i.e. the two
+// pointers, and the test names listed by ctest change from run to run.
+void PrintTo(const EventGolden& golden, std::ostream* os) { *os << golden.file; }
+
 class GoldenEvents : public ::testing::TestWithParam<EventGolden> {};
 
 TEST_P(GoldenEvents, SampleRunEmitsTheCheckedInLog) {

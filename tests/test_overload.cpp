@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "dag/generators.h"
 #include "exp/runner.h"
 #include "obs/event_log.h"
 #include "obs/sink.h"
@@ -185,6 +187,62 @@ TEST(OverloadDegradation, SchedulerSpecificShedSlugs) {
       }
       EXPECT_TRUE(known) << expectation.scheduler << " shed with '"
                          << event.reason << "'";
+    }
+  }
+}
+
+TEST(OverloadDegradation, EquiShedsOnlyJobsItStillServes) {
+  // Two live jobs on two processors.  Job 1 has the lower profit and the
+  // larger id, so it is EQUI's natural victim under either weighting -- but
+  // its deadline passes at t=5 and decide() stops serving it then.  A breach
+  // after that must shed job 0: shedding a job the split already ignores
+  // frees no capacity.
+  JobSet jobs;
+  jobs.add(Job::with_deadline(
+      std::make_shared<const Dag>(make_single_node(100.0)), 0.0, 100.0, 10.0));
+  jobs.add(Job::with_deadline(
+      std::make_shared<const Dag>(make_single_node(100.0)), 0.0, 5.0, 1.0));
+  jobs.finalize();
+  constexpr Time kExpiry = 5.0;
+  for (const char* name : {"equi", "equi-profit"}) {
+    for (const EngineKind engine : {EngineKind::kEvent, EngineKind::kSlot}) {
+      SCOPED_TRACE(std::string(name) +
+                   (engine == EngineKind::kEvent ? " event" : " slot"));
+      auto scheduler = make_named_scheduler(name, 0.5);
+      auto selector = make_selector(SelectorKind::kFifo, 1);
+      EventLog log;
+      ObsSink sink;
+      sink.events = &log;
+      SimOptions options;
+      options.num_procs = 2;
+      options.obs = &sink;
+      options.decide_budget_ns = 1000;
+      // Breach exactly once: at the first decision at or past job 1's
+      // deadline (the observer runs before the budget check).
+      bool past_expiry = false;
+      bool breached = false;
+      options.observer = [&](const EngineContext& ctx, const Assignment&) {
+        past_expiry = ctx.now() >= kExpiry;
+      };
+      options.overload_probe = [&](std::size_t,
+                                   std::uint64_t) -> std::uint64_t {
+        if (!past_expiry || breached) return 0;
+        breached = true;
+        return options.decide_budget_ns * 10;
+      };
+      const SimResult result = run_simulation(engine, jobs, *scheduler,
+                                              *selector, options);
+      ASSERT_FALSE(result.failed()) << result.failure_message;
+      EXPECT_EQ(result.overload_breaches, 1u);
+      ASSERT_EQ(result.overload_sheds, 1u);
+      std::vector<JobId> shed;
+      for (const DecisionEvent& event : log.events()) {
+        if (event.kind == ObsEventKind::kDrop &&
+            event.reason == "overload.shed.share") {
+          shed.push_back(event.job);
+        }
+      }
+      EXPECT_EQ(shed, std::vector<JobId>{0});
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/equi.h"
 #include "baselines/list_scheduler.h"
 #include "core/deadline_scheduler.h"
 #include "dag/generators.h"
@@ -319,6 +320,41 @@ TEST(TelemetryIntegration, KernelFillsHistogramsAndGauges) {
   EXPECT_GT(snapshots->back().find("gauges")->find("bytes_per_job")
                 ->as_number(),
             0.0);
+}
+
+TEST(TelemetryIntegration, EquiReportsItsCandidateQueue) {
+  // EQUI keeps its own candidate list, so its queue_depth gauge is live
+  // mid-run rather than the stateless-policy 0.
+  const JobSet jobs = telemetry_jobs();
+  std::ostringstream out;
+  TelemetryOptions options;
+  options.out = &out;
+  options.sim_interval = 10.0;
+  options.include_rss = false;
+  TelemetryRecorder recorder(options);
+
+  EquiScheduler scheduler;
+  auto sel = make_selector(SelectorKind::kFifo);
+  EngineOptions engine_options;
+  engine_options.num_procs = 8;
+  engine_options.telemetry = &recorder;
+  ASSERT_FALSE(simulate(jobs, scheduler, *sel, engine_options).failed());
+
+  std::istringstream in(out.str());
+  std::string error;
+  const auto snapshots = parse_telemetry_jsonl(in, &error);
+  ASSERT_TRUE(snapshots.has_value()) << error;
+  std::uint64_t max_mid_run_depth = 0;
+  for (const auto& snapshot : *snapshots) {
+    if (snapshot.find("final")->as_bool()) continue;
+    max_mid_run_depth = std::max(
+        max_mid_run_depth,
+        static_cast<std::uint64_t>(
+            snapshot.find("gauges")->find("queue_depth")->as_number()));
+  }
+  EXPECT_GT(max_mid_run_depth, 0u);
+  ASSERT_TRUE(recorder.has_sample());
+  EXPECT_GT(recorder.last_sample().scheduler_bytes, 0u);
 }
 
 TEST(TelemetryIntegration, RunReportGainsTelemetrySectionOnlyWhenAttached) {
