@@ -133,6 +133,31 @@ void BM_EventEngineEdfScale(benchmark::State& state) {
 }
 BENCHMARK(BM_EventEngineEdfScale)->Arg(1000)->Arg(10000)->Arg(100000);
 
+/// The sim-edf-m64 end-to-end workload's shape: thm2 at load 0.9 on Arg=64
+/// processors.  Most jobs run, so ~57 nodes execute per decision and the
+/// kernel's per-interval step -- selection, preemption accounting, advance
+/// -- costs more than decide().
+void BM_EventEngineEdfWide(benchmark::State& state) {
+  const auto m = static_cast<ProcCount>(state.range(0));
+  Rng rng(42);
+  WorkloadConfig config = scenario_thm2(0.5, 0.9, m);
+  config.horizon = 2000.0;
+  const JobSet jobs = generate_workload(rng, config);
+  std::size_t decisions = 0;
+  for (auto _ : state) {
+    ListScheduler scheduler({ListPolicy::kEdf, false, true});
+    auto sel = make_selector(SelectorKind::kFifo);
+    EngineOptions options;
+    options.num_procs = m;
+    const SimResult result = simulate(jobs, scheduler, *sel, options);
+    decisions += result.decisions;
+    benchmark::DoNotOptimize(result.total_profit);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(decisions));
+  state.counters["jobs"] = static_cast<double>(jobs.size());
+}
+BENCHMARK(BM_EventEngineEdfWide)->Arg(64);
+
 /// kLlf pins the satellite complexity bound of baselines/list_scheduler:
 /// laxity keys are recomputed every decision, but only over the incremental
 /// candidate set (O(k log k), expired jobs removed for good).  A quadratic
@@ -438,7 +463,7 @@ int main(int argc, char** argv) {
       "BM_OptUpperBoundLp/50$|BM_DagGeneration$|"
       "BM_EventEnginePaperSScale/10000$|BM_EventEngineEdfScale/10000$|"
       "BM_SlotEngineEdfScale/10000$|BM_EventEngineLlfScale/10000$|"
-      "BM_EventEngineEquiScale/10000$|"
+      "BM_EventEngineEquiScale/10000$|BM_EventEngineEdfWide/64$|"
       "BM_EventEnginePaperSScale/100000$|BM_EventEngineEdfScale/100000$|"
       "BM_SlotEngineEdfScale/100000$|BM_EventEngineLlfScale/100000$|"
       "BM_DensityQueueOps/100000$|"

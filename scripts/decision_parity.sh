@@ -11,7 +11,10 @@
 #        scripts/decision_parity.sh emit BUILD_DIR OUT_DIR
 #   2. diff mode: require every log pair in two such directories to be
 #      byte-identical (`cmp`); on a mismatch, print the decisions-only
-#      `dagsched trace diff --decisions` to locate the first divergence:
+#      `dagsched trace diff --decisions` to locate the first divergence.
+#      Node preemption counts, busy proc-time and end time never reach an
+#      event log, so each cell's flat "metrics" object in the two merged
+#      sweep reports must be identical too:
 #        scripts/decision_parity.sh diff BUILD_DIR PRE_DIR POST_DIR
 #   3. telemetry mode: run the whole matrix twice -- once plain
 #      (--no-telemetry), once with per-cell telemetry recorders attached --
@@ -21,7 +24,10 @@
 #   4. resume mode: for every combo, kill a checkpointing run at a mid-run
 #      decision (--die-at-decision, exit 9), resume from the last snapshot,
 #      and require the resumed event log to be byte-identical to the
-#      uninterrupted run's suffix (docs/RECOVERY.md):
+#      uninterrupted run's suffix (docs/RECOVERY.md) and the resumed run's
+#      summary (jobs, completed, profit, decisions, node/job preemptions,
+#      busy proc-time, ...) to equal the uninterrupted run's, minus the
+#      `resumed from:` and `wrote N events` lines:
 #        scripts/decision_parity.sh resume BUILD_DIR
 #   5. shards mode: run every combo serially and again with
 #      `--shards 2`, `--shards 4`, and `--shards 8`, and require the
@@ -130,8 +136,33 @@ diff_dirs() {
       fail=1
     fi
   done
-  [ "$fail" -eq 0 ] && echo "decision-log parity: all $(ls "$pre"/*.jsonl | wc -l) combos byte-identical"
+  if [ ! -f "$pre/sweep.report" ] || [ ! -f "$post/sweep.report" ]; then
+    echo "MISSING sweep.report in $pre or $post"; fail=1
+  else
+    local diverged
+    diverged="$(awk -F '\t' '
+      NR == FNR { want[$1] = $2; next }
+      { got[$1] = $2 }
+      END {
+        for (id in want) {
+          if (!(id in got)) print "MISSING cell metrics in post: " id
+          else if (want[id] != got[id])
+            print "METRICS DIVERGED: " id " pre=" want[id] " post=" got[id]
+        }
+      }' <(cell_metrics "$pre/sweep.report") \
+         <(cell_metrics "$post/sweep.report") | sort)"
+    if [ -n "$diverged" ]; then
+      echo "$diverged"; fail=1
+    fi
+  fi
+  [ "$fail" -eq 0 ] && echo "decision-log parity: all $(ls "$pre"/*.jsonl | wc -l) combos byte-identical, cell metrics identical"
   return "$fail"
+}
+
+# One "ID<TAB>{metrics}" line per cell of a merged sweep report.  The
+# metrics object is flat, so it ends at the first closing brace.
+cell_metrics() {
+  sed -n 's/.*"id":"\([^"]*\)".*"metrics":\({[^}]*}\).*/\1\t\2/p' "$1"
 }
 
 telemetry_check() {
@@ -154,6 +185,13 @@ telemetry_check() {
   [ "$fail" -eq 0 ] && \
     echo "telemetry parity: all $n combos byte-identical with telemetry attached"
   return "$fail"
+}
+
+# A `dagsched run` summary without the lines that name the run's own files:
+# `resumed from:` and the event log's `wrote N events to PATH` (the log
+# itself is compared separately).
+summary_counters() {
+  grep -v -e '^resumed from:' -e '^wrote ' "$1"
 }
 
 # One kill/resume combo; always returns 0 and records the outcome as a
@@ -191,15 +229,25 @@ resume_one() {
   fi
   emitted="$("$cli" checkpoint info "$workdir/$tag.ckpt" \
     | awk '/^events_emitted:/{print $2}')"
-  # Resume and compare against the reference log's suffix.
+  # Resume and compare against the reference log's suffix, then the
+  # restored counters against the reference summary.
   # shellcheck disable=SC2086
   "$cli" run "$workdir/$wl.wl" --scheduler "$sched" --engine "$engine" \
     --m 16 $fargs --resume "$workdir/$tag.ckpt" \
-    --events "$workdir/$tag.resumed.jsonl" >/dev/null
+    --events "$workdir/$tag.resumed.jsonl" \
+    > "$workdir/$tag.resumed_summary.txt"
   if ! cmp -s <(tail -n +$((emitted + 1)) "$workdir/$tag.full.jsonl") \
       "$workdir/$tag.resumed.jsonl"; then
     echo "RESUME DIVERGED: $tag (checkpoint events_emitted=$emitted)" \
       > "$workdir/status/$tag.fail"
+    return 0
+  fi
+  if ! cmp -s <(summary_counters "$workdir/$tag.summary.txt") \
+      <(summary_counters "$workdir/$tag.resumed_summary.txt"); then
+    echo "RESUME SUMMARY DIVERGED: $tag" > "$workdir/status/$tag.fail"
+    diff <(summary_counters "$workdir/$tag.summary.txt") \
+      <(summary_counters "$workdir/$tag.resumed_summary.txt") \
+      >> "$workdir/status/$tag.fail" || true
     return 0
   fi
   : > "$workdir/status/$tag.ok"
@@ -276,7 +324,7 @@ resume_check() {
     return 1
   fi
   echo "crash-recovery parity: all $runs kill-resume" \
-    "combos byte-identical ($skips skipped as too short)"
+    "combos byte-identical with equal summaries ($skips skipped as too short)"
 }
 
 case "$mode" in

@@ -1,10 +1,10 @@
 #include "dag/unfolding.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "util/arena.h"
 #include "util/check.h"
-#include "util/float_cmp.h"
 #include "util/wire.h"
 
 namespace dagsched {
@@ -104,22 +104,14 @@ Work UnfoldingState::reset_progress(NodeId node) {
   return lost;
 }
 
-bool UnfoldingState::advance(NodeId node, Work amount,
-                             std::vector<NodeId>* newly_ready) {
+void UnfoldingState::advance_failed(NodeId node, Work amount,
+                                    Work remaining) const {
   DS_CHECK_MSG(status(node) == Status::kReady,
                "advance on non-ready node " << node);
   DS_CHECK_MSG(amount >= 0.0, "negative work amount " << amount);
-  Work& remaining = rem_[node];
-  remaining = snap_nonnegative(remaining - amount);
-  total_remaining_ = snap_nonnegative(total_remaining_ - amount);
   DS_CHECK_MSG(remaining >= 0.0,
                "node " << node << " overshot by " << -remaining);
-  if (approx_zero(remaining)) {
-    remaining = 0.0;
-    mark_done(node, newly_ready);
-    return true;
-  }
-  return false;
+  std::abort();  // unreachable: called only when one of the checks fails
 }
 
 void UnfoldingState::mark_done(NodeId node, std::vector<NodeId>* newly_ready) {

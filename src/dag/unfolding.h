@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "dag/dag.h"
+#include "util/float_cmp.h"
 #include "util/types.h"
 
 namespace dagsched {
@@ -115,8 +116,25 @@ class UnfoldingState {
   /// whose last predecessor finished become ready, and those newly ready
   /// nodes are appended to `newly_ready` (may be null if the caller doesn't
   /// care).  Returns true iff the node completed.
+  /// Inline: both engines' innermost per-node operation.
   bool advance(NodeId node, Work amount,
-               std::vector<NodeId>* newly_ready = nullptr);
+               std::vector<NodeId>* newly_ready = nullptr) {
+    if (status(node) != Status::kReady || !(amount >= 0.0)) [[unlikely]] {
+      advance_failed(node, amount, rem_[node]);
+    }
+    Work& remaining = rem_[node];
+    remaining = snap_nonnegative(remaining - amount);
+    total_remaining_ = snap_nonnegative(total_remaining_ - amount);
+    if (!(remaining >= 0.0)) [[unlikely]] {
+      advance_failed(node, amount, remaining);
+    }
+    if (approx_zero(remaining)) {
+      remaining = 0.0;
+      mark_done(node, newly_ready);
+      return true;
+    }
+    return false;
+  }
 
   /// Remaining span: weight of the heaviest path through unfinished nodes,
   /// counting each unfinished node's *remaining* work.  O(V+E) using a
@@ -165,6 +183,10 @@ class UnfoldingState {
   Work* ensure_init();
   void init_structure(const Dag& dag, bool fill_rem);
   void mark_done(NodeId node, std::vector<NodeId>* newly_ready);
+  /// Cold path of advance(): reports whichever of its checks failed
+  /// (`remaining` is the node's remaining work at the failing check).
+  [[noreturn]] void advance_failed(NodeId node, Work amount,
+                                   Work remaining) const;
 
   const Dag* dag_ = nullptr;
   BumpArena* arena_ = nullptr;

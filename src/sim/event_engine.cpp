@@ -77,9 +77,6 @@ SimResult EventEngine::run() {
   // Member scratch: capacity survives across runs, so a warm re-run of the
   // stepping loop below performs no heap allocations.
   Assignment& assignment = assignment_;
-  std::vector<NodeId>& picked = picked_;
-  std::vector<std::pair<JobId, NodeId>>& running = running_;
-  std::vector<JobId>& running_jobs = running_jobs_;
 
   for (;;) {
     // (0) Checkpoint at the loop top, before event delivery: nothing is
@@ -96,34 +93,20 @@ SimResult EventEngine::run() {
     kernel.deliver_due_events(now, DeadlineDuePolicy::kAtOrBeforeNow);
     if (!kernel.decide(now, assignment)) break;
 
-    // (2) Materialize this interval's execution set: (job, node) pairs plus
-    // the jobs that actually run a node (a job's alloc is unique, so the
-    // job list needs no dedup pass).
-    running.clear();
-    running_jobs.clear();
-    for (const JobAlloc& alloc : assignment.allocs) {
-      kernel.select_nodes(alloc, picked);
-      if (!picked.empty()) running_jobs.push_back(alloc.job);
-      for (const NodeId node : picked) running.emplace_back(alloc.job, node);
-    }
-    kernel.begin_interval();
-    if (kernel.churn()) DS_CHECK(running.size() <= kernel.up_count());
+    // (2) Materialize this interval's execution set and account its
+    // preemptions against the previous interval (before this step's
+    // completions, as the seed did), in one kernel pass.
+    const Work min_remaining = kernel.begin_interval(now, assignment);
 
-    // (3) Preemption accounting: anything that ran in the previous
-    // interval, is unfinished, and does not run now was preempted.  The
-    // scan happens here (before this step's completions are marked, as the
-    // seed did), but the set is only committed as the new previous interval
-    // at the end of the step, so the passes below keep using it.
-    kernel.account_preemptions(now, running, running_jobs);
-
-    // (4) Time to the next external event.
+    // (3) Time to the next external event.
     const Time next_event =
         std::min(kernel.next_arrival_time(),
                  std::min(kernel.next_deadline_time(),
                           kernel.next_transition_time()));
 
-    if (running.empty()) {
-      kernel.commit_interval(running, running_jobs);
+    const std::size_t running = kernel.interval_nodes().size();
+    if (running == 0) {
+      kernel.end_interval();
       if (next_event == kTimeInfinity) break;  // quiescent: nothing left
       // The machine sits fully idle until the next event; transitions are
       // decision points, so capacity is constant across the gap.
@@ -132,35 +115,22 @@ SimResult EventEngine::run() {
       continue;
     }
 
-    Time node_dt = kTimeInfinity;
-    for (const auto& [job, node] : running) {
-      node_dt = std::min(node_dt, kernel.remaining_work(job, node) / speed);
-    }
-    const Time dt = std::min(node_dt, next_event - now);
+    // The first node completion: dividing by a positive speed is monotone,
+    // so min(remaining) / speed == min(remaining / speed) exactly.
+    const Time dt = std::min(min_remaining / speed, next_event - now);
     DS_CHECK_MSG(dt > 0.0, "non-positive step dt=" << dt << " at t=" << now);
 
-    kernel.observe_running(running.size());
+    kernel.observe_running(running);
     DS_OBS_OBSERVE(h_step_dt, dt);
 
-    // (5) Advance every running node by speed*dt.  Wide intervals on a
-    // sharded run fan the per-node work out across the shard workers (the
-    // kernel replays the global side effects serially, byte-identically);
-    // narrow intervals and serial runs take the plain loop.
-    if (!kernel.advance_parallel(running, speed * dt, now, dt)) {
-      for (std::size_t p = 0; p < running.size(); ++p) {
-        const auto& [job, node] = running[p];
-        kernel.advance_node(job, node, speed * dt, now, dt,
-                            kernel.phys_proc(p));
-      }
-    }
+    // (4) Advance every running node by speed*dt and mark the jobs that
+    // finish at the end of the step, then retire the execution set as the
+    // next decision's previous interval and notify the completions.
+    kernel.advance_interval(speed * dt, now, dt);
     kernel.account_step_time(dt);
     now += dt;
     kernel.set_now(now);
-
-    // (6) Detect and notify job completions at the end of the step, then
-    // retire the execution set as the next decision's previous interval.
-    for (const auto& [job, node] : running) kernel.mark_if_completed(job, now);
-    kernel.commit_interval(running, running_jobs);
+    kernel.end_interval();
     kernel.notify_completions(now);
   }
 

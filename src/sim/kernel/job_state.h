@@ -14,9 +14,9 @@
 //     stamps           u32   interval/alloc epoch stamps (flat node array)
 //
 // `executed` and `first_start` deliberately share the unfolding's column
-// entry instead of getting columns of their own: advance_node() writes all
-// three on every node step, so splitting them costs two extra cache misses
-// per executed node (measured as a double-digit-percent slot-engine
+// entry instead of getting columns of their own: the kernel's node advance
+// writes all three on every step, so splitting them costs two extra cache
+// misses per executed node (measured as a double-digit-percent slot-engine
 // regression) while no hot loop reads them without the unfolding.
 //
 // All unfolding per-node blocks are carved from one BumpArena owned here:
@@ -43,8 +43,8 @@ namespace dagsched {
 
 class JobStateTable {
  public:
-  /// One exec-column entry: the per-job state advance_node() touches
-  /// together on every node step (see the file header).
+  /// One exec-column entry: the per-job state the kernel's node advance
+  /// touches together on every step (see the file header).
   struct JobExec {
     UnfoldingState unfolding;
     Work executed = 0.0;
@@ -100,6 +100,9 @@ class JobStateTable {
   Time first_start(JobId id) const { return exec_[id].first_start; }
   Work& executed(JobId id) { return exec_[id].executed; }
   Work executed(JobId id) const { return exec_[id].executed; }
+
+  /// The whole exec entry, for loops that touch all three fields per job.
+  JobExec& exec(JobId id) { return exec_[id]; }
 
   // -- Unfolding column -----------------------------------------------------
 
@@ -171,8 +174,9 @@ class JobStateTable {
 
   // -- Epoch stamps (preemption accounting, duplicate-alloc detection) ------
 
-  std::uint32_t& node_stamp(JobId job, NodeId node) {
-    return node_stamp_[node_stamp_base_[job] + node];
+  /// `job`'s per-node stamps, indexed by NodeId.
+  std::uint32_t* node_stamps(JobId job) {
+    return node_stamp_.data() + node_stamp_base_[job];
   }
   std::uint32_t& job_stamp(JobId id) { return job_stamp_[id]; }
   std::uint32_t& alloc_stamp(JobId id) { return alloc_stamp_[id]; }

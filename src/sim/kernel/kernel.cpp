@@ -122,9 +122,16 @@ void SimKernel::begin(Time start_time) {
   }
   completed_now_.clear();
   jobs_done_ = 0;
+  cur_nodes_.clear();
+  cur_jobs_.clear();
+  cur_group_end_.clear();
+  interval_done_ = 0;
   prev_nodes_.clear();
   prev_jobs_.clear();
-  interval_epoch_ = 0;
+  prev_live_ = 0;
+  // state_.reset() zeroed every stamp: starting at 1 makes the first
+  // interval's epoch 2, so no never-run node carries "epoch - 1".
+  interval_epoch_ = 1;
   preempted_jobs_.clear();
   alloc_epoch_ = 0;
   capacity_time_ = 0.0;
@@ -411,19 +418,114 @@ void SimKernel::handle_overload(Time now, std::uint64_t decide_ns) {
   }
 }
 
-void SimKernel::begin_interval() {
-  if (!churn_) return;
-  up_list_.clear();
-  for (ProcCount p = 0; p < options_.num_procs; ++p) {
-    if (proc_up_[p]) up_list_.push_back(p);
+Work SimKernel::begin_interval(Time now, const Assignment& assignment) {
+  if (churn_) {
+    up_list_.clear();
+    for (ProcCount p = 0; p < options_.num_procs; ++p) {
+      if (proc_up_[p]) up_list_.push_back(p);
+    }
+    std::fill(proc_node_.begin(), proc_node_.end(),
+              std::make_pair(kInvalidJob, NodeId{0}));
   }
-  std::fill(proc_node_.begin(), proc_node_.end(),
-            std::make_pair(kInvalidJob, NodeId{0}));
+  cur_nodes_.clear();
+  cur_jobs_.clear();
+  cur_group_end_.clear();
+  interval_done_ = 0;
+  const std::uint32_t e = ++interval_epoch_;
+  std::size_t continuing = 0;
+  Work min_remaining = kTimeInfinity;
+  // A job's alloc is unique (validate() rejects duplicates), so each job
+  // gets at most one group and the job list needs no dedup pass.
+  for (const JobAlloc& alloc : assignment.allocs) {
+    const JobId job = alloc.job;
+    const UnfoldingState& unfolding = state_.unfolding(job);
+    selector_.select(jobs_[job].dag(), unfolding, alloc.procs, picked_);
+    if (picked_.empty()) continue;
+    std::uint32_t* stamps = state_.node_stamps(job);
+    for (const NodeId node : picked_) {
+      // Stamped last interval == ran last interval (and, being ready again,
+      // is unfinished).
+      continuing += stamps[node] == e - 1 ? 1 : 0;
+      stamps[node] = e;
+      min_remaining = std::min(min_remaining, unfolding.remaining_work(node));
+      cur_nodes_.emplace_back(job, node);
+    }
+    state_.job_stamp(job) = e;
+    cur_jobs_.push_back(job);
+    cur_group_end_.push_back(cur_nodes_.size());
+  }
+  if (churn_) DS_CHECK(cur_nodes_.size() <= up_list_.size());
+  account_preemptions(now, continuing);
+  return min_remaining;
 }
 
-bool SimKernel::advance_parallel(
-    const std::vector<std::pair<JobId, NodeId>>& running, Work amount,
-    Time now, Time dt) {
+void SimKernel::account_preemptions(Time now, std::size_t continuing) {
+  DS_CHECK(continuing <= prev_live_);
+  const std::size_t node_preempted = prev_live_ - continuing;
+  if (node_preempted > 0) {
+    result_.node_preemptions += node_preempted;
+    DS_OBS_ADD(c_node_preemptions_, static_cast<double>(node_preempted));
+  }
+  const std::uint32_t e = interval_epoch_;
+  preempted_jobs_.clear();
+  for (const JobId job : prev_jobs_) {
+    if (state_.completed(job)) continue;
+    if (state_.job_stamp(job) != e) preempted_jobs_.push_back(job);
+  }
+  result_.job_preemptions += preempted_jobs_.size();
+  if (obs_ != nullptr) {
+    // Emit in ascending job id -- the order the seed's sorted previous set
+    // produced -- so decision logs stay byte-identical.
+    std::sort(preempted_jobs_.begin(), preempted_jobs_.end());
+    for (const JobId job : preempted_jobs_) {
+      DS_OBS_INC(c_job_preemptions_);
+      obs_->event(now, job, ObsEventKind::kPreempt);
+    }
+  }
+}
+
+void SimKernel::advance_interval(Work amount, Time now, Time dt) {
+  if (advance_parallel(amount, now, dt)) return;
+  const Time end = now + dt;
+  double busy = result_.busy_proc_time;
+  std::size_t p = 0;
+  for (std::size_t g = 0; g < cur_jobs_.size(); ++g) {
+    const JobId job = cur_jobs_[g];
+    JobStateTable::JobExec& exec = state_.exec(job);
+    UnfoldingState& unfolding = exec.unfolding;
+    Work executed = exec.executed;
+    bool any_done = false;
+    for (const std::size_t group_end = cur_group_end_[g]; p < group_end; ++p) {
+      const NodeId node = cur_nodes_[p].second;
+      if (c_node_starts_ != nullptr &&
+          unfolding.remaining_work(node) == unfolding.initial_work(node)) {
+        c_node_starts_->add(1.0);
+      }
+      if (unfolding.advance(node, amount)) {
+        any_done = true;
+        ++interval_done_;
+        DS_OBS_INC(c_node_completions_);
+      }
+      executed += amount;
+      busy += dt;
+      DS_OBS_ADD(c_busy_time_, dt);
+      if (churn_) proc_node_[phys_proc(p)] = {job, node};
+      if (options_.record_trace) {
+        result_.trace.add(now, end, job, node, phys_proc(p));
+      }
+    }
+    exec.executed = executed;
+    exec.first_start = std::min(exec.first_start, now);
+    if (any_done) mark_if_completed(job, end);
+  }
+  result_.busy_proc_time = busy;
+  // A non-finishing node occupies its processor to the interval's end, so
+  // this is exactly the window in which a failure can claim it.
+  if (churn_) last_exec_end_ = std::max(last_exec_end_, end);
+}
+
+bool SimKernel::advance_parallel(Work amount, Time now, Time dt) {
+  const std::vector<std::pair<JobId, NodeId>>& running = cur_nodes_;
   if (shard_rt_ == nullptr || running.size() < kParallelAdvanceMin) {
     return false;
   }
@@ -432,30 +534,35 @@ bool SimKernel::advance_parallel(
                          adv_flags_.data());
   // Serial replay of the cross-job side effects in processor order: the
   // exact emission order and floating-point accumulation sequence of the
-  // serial advance_node loop (every event-engine duration equals dt, so the
-  // busy-time sum is the same term sequence).
-  for (std::size_t p = 0; p < running.size(); ++p) {
-    const auto [job, node] = running[p];
-    const std::uint8_t flag = adv_flags_[p];
-    if (c_node_starts_ != nullptr &&
-        (flag & ShardRuntime::kStarted) != 0) {
-      c_node_starts_->add(1.0);
+  // serial loop (every event-engine duration equals dt, so the busy-time
+  // sum is the same term sequence), then completion marking per job group.
+  const Time end = now + dt;
+  std::size_t p = 0;
+  for (std::size_t g = 0; g < cur_jobs_.size(); ++g) {
+    bool any_done = false;
+    for (const std::size_t group_end = cur_group_end_[g]; p < group_end; ++p) {
+      const auto [job, node] = running[p];
+      const std::uint8_t flag = adv_flags_[p];
+      if (c_node_starts_ != nullptr &&
+          (flag & ShardRuntime::kStarted) != 0) {
+        c_node_starts_->add(1.0);
+      }
+      if ((flag & ShardRuntime::kNodeDone) != 0) {
+        any_done = true;
+        ++interval_done_;
+        DS_OBS_INC(c_node_completions_);
+      }
+      result_.busy_proc_time += dt;
+      DS_OBS_ADD(c_busy_time_, dt);
+      const ProcCount phys = phys_proc(p);
+      if (churn_) proc_node_[phys] = {job, node};
+      if (options_.record_trace) {
+        result_.trace.add(now, end, job, node, phys);
+      }
     }
-    if (c_node_completions_ != nullptr &&
-        (flag & ShardRuntime::kNodeDone) != 0) {
-      c_node_completions_->add(1.0);
-    }
-    result_.busy_proc_time += dt;
-    DS_OBS_ADD(c_busy_time_, dt);
-    const ProcCount phys = phys_proc(p);
-    if (churn_) {
-      proc_node_[phys] = {job, node};
-      last_exec_end_ = std::max(last_exec_end_, now + dt);
-    }
-    if (options_.record_trace) {
-      result_.trace.add(now, now + dt, job, node, phys);
-    }
+    if (any_done) mark_if_completed(cur_jobs_[g], end);
   }
+  if (churn_) last_exec_end_ = std::max(last_exec_end_, end);
   return true;
 }
 
@@ -474,55 +581,6 @@ void SimKernel::notify_completions_slow(Time notify_time) {
   completed_now_.clear();
 }
 
-void SimKernel::account_preemptions(
-    Time now, std::vector<std::pair<JobId, NodeId>>& nodes,
-    std::vector<JobId>& jobs) {
-  // Stamp this interval's execution set, then scan the previous one:
-  // anything that ran before, is unfinished, and carries a stale stamp was
-  // preempted.  O(running) per decision, no sorting.  `jobs` is deduplicated
-  // in place (stamping doubles as the duplicate check).
-  ++interval_epoch_;
-  const std::uint32_t e = interval_epoch_;
-  for (const auto& [job, node] : nodes) {
-    state_.node_stamp(job, node) = e;
-  }
-  std::size_t w = 0;
-  for (const JobId job : jobs) {
-    if (state_.job_stamp(job) == e) continue;
-    state_.job_stamp(job) = e;
-    jobs[w++] = job;
-  }
-  jobs.resize(w);
-  for (const auto& [job, node] : prev_nodes_) {
-    if (state_.completed(job) || state_.unfolding(job).is_done(node)) continue;
-    if (state_.node_stamp(job, node) != e) {
-      ++result_.node_preemptions;
-      DS_OBS_INC(c_node_preemptions_);
-    }
-  }
-  preempted_jobs_.clear();
-  for (const JobId job : prev_jobs_) {
-    if (state_.completed(job)) continue;
-    if (state_.job_stamp(job) != e) preempted_jobs_.push_back(job);
-  }
-  result_.job_preemptions += preempted_jobs_.size();
-  if (obs_ != nullptr) {
-    // Emit in ascending job id -- the order the seed's sorted previous set
-    // produced -- so decision logs stay byte-identical.
-    std::sort(preempted_jobs_.begin(), preempted_jobs_.end());
-    for (const JobId job : preempted_jobs_) {
-      DS_OBS_INC(c_job_preemptions_);
-      obs_->event(now, job, ObsEventKind::kPreempt);
-    }
-  }
-}
-
-void SimKernel::commit_interval(std::vector<std::pair<JobId, NodeId>>& nodes,
-                                std::vector<JobId>& jobs) {
-  std::swap(prev_nodes_, nodes);
-  std::swap(prev_jobs_, jobs);
-}
-
 std::size_t SimKernel::kernel_bytes() const {
   // Allocated (capacity) bytes of the kernel's bookkeeping containers --
   // the figure the million-job memory budget tracks per subsystem.  The
@@ -533,8 +591,11 @@ std::size_t SimKernel::kernel_bytes() const {
   return state_.memory_bytes() + deadline_bytes +
          adv_flags_.capacity() * sizeof(std::uint8_t) +
          completed_now_.capacity() * sizeof(JobId) +
-         prev_nodes_.capacity() * sizeof(std::pair<JobId, NodeId>) +
-         prev_jobs_.capacity() * sizeof(JobId) +
+         picked_.capacity() * sizeof(NodeId) +
+         (cur_nodes_.capacity() + prev_nodes_.capacity()) *
+             sizeof(std::pair<JobId, NodeId>) +
+         (cur_jobs_.capacity() + prev_jobs_.capacity()) * sizeof(JobId) +
+         cur_group_end_.capacity() * sizeof(std::size_t) +
          preempted_jobs_.capacity() * sizeof(JobId) +
          proc_up_.capacity() * sizeof(char) +
          proc_node_.capacity() * sizeof(std::pair<JobId, NodeId>) +
@@ -731,10 +792,21 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
   }
   const std::uint64_t prev_node_count = in.count(8);
   prev_nodes_.resize(static_cast<std::size_t>(prev_node_count));
+  // The stamps were reset by begin(): re-stamp the previous interval with a
+  // fresh epoch so the next begin_interval() sees its nodes as "ran last
+  // interval", and recount the unfinished ones (account_preemptions'
+  // invariants).
+  const std::uint32_t prev_epoch = ++interval_epoch_;
+  prev_live_ = 0;
   for (auto& [job, node] : prev_nodes_) {
     job = in.u32();
     node = in.u32();
-    if (job >= n) in.fail("malformed previous-interval node entry");
+    if (job >= n || !state_.arrived(job) ||
+        node >= jobs_[job].dag().num_nodes()) {
+      in.fail("malformed previous-interval node entry");
+    }
+    state_.node_stamps(job)[node] = prev_epoch;
+    if (!state_.unfolding(job).is_done(node)) ++prev_live_;
   }
   const std::uint64_t prev_job_count = in.count(4);
   prev_jobs_.resize(static_cast<std::size_t>(prev_job_count));

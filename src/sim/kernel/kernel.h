@@ -146,7 +146,6 @@ class SimKernel {
   bool all_done() const { return jobs_done_ == jobs_.size(); }
   std::size_t decisions() const { return result_.decisions; }
   bool failed() const { return result_.failed(); }
-  bool churn() const { return churn_; }
 
   /// Stamp a structural failure on the result (and emit an engine-abort
   /// event carrying `slug`); the engine must stop stepping afterwards.
@@ -231,28 +230,33 @@ class SimKernel {
 
   // -- Execution ------------------------------------------------------------
 
-  /// Ready-node selection for one granted allocation (machine-owned policy).
-  void select_nodes(const JobAlloc& alloc, std::vector<NodeId>& picked) {
-    selector_.select(jobs_[alloc.job].dag(), state_.unfolding(alloc.job),
-                     alloc.procs, picked);
-  }
+  /// Builds this decision's interval from `assignment` in one pass over its
+  /// allocs, shared by both engines: refreshes the physical-processor view
+  /// under churn (the up-processor list, a cleared failure-victim map),
+  /// calls the selector once per alloc in alloc order, appends the (job,
+  /// node) entries and one group per job that runs a node, stamps the job
+  /// and node epochs, and accounts preemptions against the previous
+  /// interval (see account_preemptions).  Returns the minimum remaining work
+  /// over the interval's nodes (kTimeInfinity when nothing runs).
+  Work begin_interval(Time now, const Assignment& assignment);
 
-  /// Prepares the physical-processor view for the coming interval: under
-  /// churn, refreshes the up-processor list and clears the failure-victim
-  /// map.  Call once per decision, before advance_node().
-  void begin_interval();
+  /// This interval's execution set in processor order: entry p runs on
+  /// phys_proc(p).  Valid from begin_interval() to end_interval().
+  const std::vector<std::pair<JobId, NodeId>>& interval_nodes() const {
+    return cur_nodes_;
+  }
+  /// Jobs that run at least one node this interval, in alloc order; job g
+  /// owns the entries [interval_group_ends()[g-1], interval_group_ends()[g])
+  /// (from 0 for g == 0).
+  const std::vector<JobId>& interval_jobs() const { return cur_jobs_; }
+  const std::vector<std::size_t>& interval_group_ends() const {
+    return cur_group_end_;
+  }
 
   /// Physical processor backing logical run index `i` of this interval.
   /// Precondition: i < up-capacity (allocation validation guarantees it).
   ProcCount phys_proc(std::size_t i) const {
     return churn_ ? up_list_[i] : static_cast<ProcCount>(i);
-  }
-
-  /// Currently-up processor count of this interval (== num_procs without
-  /// churn); valid after begin_interval().
-  std::size_t up_count() const {
-    return churn_ ? up_list_.size()
-                  : static_cast<std::size_t>(options_.num_procs);
   }
 
   Work remaining_work(JobId job, NodeId node) const {
@@ -262,21 +266,23 @@ class SimKernel {
   /// Advances `node` of `job` by `amount` work over [start, start+duration)
   /// on physical processor `phys`: node start/completion counters, busy
   /// processor-time, the execution trace, and the failure-victim map.
-  /// Inline: this is the innermost per-node operation of both hot loops.
-  void advance_node(JobId job, NodeId node, Work amount, Time start,
+  /// Returns true iff the node completed.  Inline: this is the innermost
+  /// per-node operation of the slot engine's loop.
+  bool advance_node(JobId job, NodeId node, Work amount, Time start,
                     Time duration, ProcCount phys) {
-    UnfoldingState& unfolding = state_.unfolding(job);
+    JobStateTable::JobExec& exec = state_.exec(job);
+    UnfoldingState& unfolding = exec.unfolding;
     if (c_node_starts_ != nullptr &&
         unfolding.remaining_work(node) == unfolding.initial_work(node)) {
       c_node_starts_->add(1.0);
     }
-    unfolding.advance(node, amount);
-    if (c_node_completions_ != nullptr && unfolding.is_done(node)) {
-      c_node_completions_->add(1.0);
+    const bool done = unfolding.advance(node, amount);
+    if (done) {
+      ++interval_done_;
+      DS_OBS_INC(c_node_completions_);
     }
-    state_.executed(job) += amount;
-    Time& first_start = state_.first_start(job);
-    first_start = std::min(first_start, start);
+    exec.executed += amount;
+    exec.first_start = std::min(exec.first_start, start);
     result_.busy_proc_time += duration;
     DS_OBS_ADD(c_busy_time_, duration);
     if (churn_) {
@@ -288,21 +294,18 @@ class SimKernel {
     if (options_.record_trace) {
       result_.trace.add(start, start + duration, job, node, phys);
     }
+    return done;
   }
 
-  /// Sharded fast path for one event-engine step: advances every entry of
-  /// `running` by `amount` work over [now, now+dt) across the shard workers
-  /// (entry i on shard running[i].first % K, so per-job state has a single
-  /// writer), then replays the global side effects -- counters, busy time,
-  /// the trace, the failure-victim map -- serially in processor order from
-  /// the per-entry flag bytes.  Byte-identical to the serial advance_node
-  /// loop: per-job floating-point sequences are preserved (same-job entries
-  /// share a shard and run in global entry order) and every event-engine
-  /// duration equals dt, so the serially-replayed busy-time accumulation
-  /// matches term for term.  Returns false (caller runs the serial loop)
-  /// when sharding is off or `running` is too small to amortize a barrier.
-  bool advance_parallel(const std::vector<std::pair<JobId, NodeId>>& running,
-                        Work amount, Time now, Time dt);
+  /// Event-engine step: advances every node of the interval by `amount`
+  /// work over [now, now+dt), one job group at a time -- the job's exec
+  /// entry is loaded once, `executed` and busy time accumulate in locals in
+  /// processor order (bit-identical to per-node updates), `first_start`
+  /// takes one min per job -- and marks each job whose unfolding finished
+  /// as completed at now+dt.  Wide intervals on a sharded run go through
+  /// the shard workers instead (advance_parallel), with the same counters
+  /// and completion marking.
+  void advance_interval(Work amount, Time now, Time dt);
 
   /// Accounts `dt` of wall-clock machine time at the current capacity
   /// (executed slots and event-engine steps).
@@ -317,10 +320,20 @@ class SimKernel {
     DS_OBS_OBSERVE(h_running_, static_cast<double>(count));
   }
 
+  /// Retires this interval as the next decision's previous interval; its
+  /// nodes that did not complete become the preemption candidates.  Must
+  /// be called exactly once per begin_interval(), after the advance.
+  void end_interval() {
+    prev_live_ = cur_nodes_.size() - interval_done_;
+    std::swap(prev_nodes_, cur_nodes_);
+    std::swap(prev_jobs_, cur_jobs_);
+  }
+
   // -- Completion epoch -----------------------------------------------------
 
   /// Marks `job` completed at `completion_time` if its unfolding just
-  /// finished; notification is deferred to notify_completions().
+  /// finished; notification is deferred to notify_completions().  Engines
+  /// call it only for jobs with a node that completed this interval.
   void mark_if_completed(JobId job, Time completion_time) {
     if (!state_.completed(job) && state_.unfolding(job).complete()) {
       state_.set_completed(job);
@@ -335,23 +348,6 @@ class SimKernel {
     if (completed_now_.empty()) return;
     notify_completions_slow(notify_time);
   }
-
-  // -- Preemption accounting ------------------------------------------------
-
-  /// Compares this interval's execution set against the previous one and
-  /// accounts node/job preemptions (ran before, unfinished, idle now).
-  /// Dedups `jobs` in place but leaves both vectors usable: engines keep
-  /// stepping over them and hand them back via commit_interval() once the
-  /// step is done.
-  void account_preemptions(Time now,
-                           std::vector<std::pair<JobId, NodeId>>& nodes,
-                           std::vector<JobId>& jobs);
-
-  /// Installs this interval's (already accounted) execution set as the
-  /// previous interval.  Contents are swapped out; reuse the vectors freely.
-  /// Must be called exactly once per account_preemptions() call.
-  void commit_interval(std::vector<std::pair<JobId, NodeId>>& nodes,
-                       std::vector<JobId>& jobs);
 
  private:
   bool transition_due(Time now) const {
@@ -375,6 +371,33 @@ class SimKernel {
   void deliver_arrivals(Time now);
   void deliver_expiries(Time now, DeadlineDuePolicy policy);
   void notify_completions_slow(Time notify_time);
+  /// Accounts this interval's preemptions at `now`, given the number of its
+  /// nodes that also ran in the previous interval (`continuing`, counted by
+  /// begin_interval from the node stamps).  Two invariants make the count
+  /// exact without rescanning the previous interval:
+  ///   * interval epochs start at 1 after begin() (the stamps reset to 0),
+  ///     so a node that never ran can never carry the previous epoch;
+  ///   * prev_live_ counts the previous interval's nodes that did not
+  ///     complete in it -- the only nodes that can be preempted.  Every
+  ///     continuing node is one of them (it is ready again), so the node
+  ///     preemptions are prev_live_ - continuing, the seed's set difference
+  ///     "ran before, unfinished, idle now".
+  /// Job preemptions keep a scan of the (short) previous job list, which
+  /// also yields the kPreempt events in ascending job id.
+  void account_preemptions(Time now, std::size_t continuing);
+  /// Sharded fast path of advance_interval: advances every entry of the
+  /// interval by `amount` work over [now, now+dt) across the shard workers
+  /// (entry i on shard running[i].first % K, so per-job state has a single
+  /// writer), then replays the global side effects -- counters, busy time,
+  /// the trace, the failure-victim map, completion marking -- serially in
+  /// processor order from the per-entry flag bytes.  Byte-identical to the
+  /// serial loop: per-job floating-point sequences are preserved (same-job
+  /// entries share a shard and run in global entry order) and every
+  /// event-engine duration equals dt, so the serially-replayed busy-time
+  /// accumulation matches term for term.  Returns false (the caller runs
+  /// the serial loop) when sharding is off or the interval is too small to
+  /// amortize a barrier.
+  bool advance_parallel(Work amount, Time now, Time dt);
   /// Applies the decision-latency budget to one decide() measurement:
   /// breach -> shed + overload events, first under-budget decision after a
   /// breach -> recovery event.  Only called with decide_budget_ns > 0.
@@ -471,13 +494,22 @@ class SimKernel {
     return static_cast<std::size_t>(id) % shard_count_;
   }
 
-  // Previous interval's execution set, for preemption accounting.  Membership
-  // tests use the table's epoch-stamp columns so each decision costs
-  // O(running) with no sorting; the seed sorted + binary-searched both sets
-  // per decision, which dominated the event engine's hot loop at 10^5 jobs.
+  // This interval's execution set (built by begin_interval) and the
+  // previous one, for preemption accounting.  Membership tests use the
+  // table's epoch-stamp columns so each decision costs O(running) with no
+  // sorting; the seed sorted + binary-searched both sets per decision,
+  // which dominated the event engine's hot loop at 10^5 jobs.  All of it is
+  // member scratch: capacity survives across runs (zero-allocation
+  // contract).
+  std::vector<NodeId> picked_;
+  std::vector<std::pair<JobId, NodeId>> cur_nodes_;
+  std::vector<JobId> cur_jobs_;
+  std::vector<std::size_t> cur_group_end_;
+  std::size_t interval_done_ = 0;  // cur_nodes_ entries that completed
   std::vector<std::pair<JobId, NodeId>> prev_nodes_;
   std::vector<JobId> prev_jobs_;
-  std::uint32_t interval_epoch_ = 0;
+  std::size_t prev_live_ = 0;  // prev_nodes_ entries still unfinished
+  std::uint32_t interval_epoch_ = 1;
   std::vector<JobId> preempted_jobs_;  // scratch, event-order emission
 
   // Duplicate-allocation detection epoch (stamps live in the table).

@@ -192,11 +192,12 @@ void ShardRuntime::run_epoch_slice(std::size_t s) {
   for (std::size_t i = 0; i < epoch_count_; ++i) {
     const auto [job, node] = entries[i];
     if (static_cast<std::size_t>(job) % k != s) continue;
-    // The pure per-(job, node) half of SimKernel::advance_node.  Same-job
-    // entries share a shard and are visited in global entry order, so the
-    // floating-point accumulation sequence per job matches the serial loop
-    // exactly; everything cross-job (counters, busy time, trace, victim
-    // map) is replayed serially by the kernel from the flag bytes.
+    // The pure per-(job, node) half of SimKernel::advance_interval.
+    // Same-job entries share a shard and are visited in global entry order,
+    // so the floating-point accumulation sequence per job matches the
+    // serial loop exactly; everything cross-job (counters, busy time,
+    // trace, victim map) is replayed serially by the kernel from the flag
+    // bytes.
     UnfoldingState& unfolding = table.unfolding(job);
     std::uint8_t flag = 0;
     if (unfolding.remaining_work(node) == unfolding.initial_work(node)) {

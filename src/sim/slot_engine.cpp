@@ -75,9 +75,6 @@ SimResult SlotEngine::run() {
 
   // Member scratch: capacity survives across runs (zero-alloc contract).
   Assignment& assignment = assignment_;
-  std::vector<NodeId>& picked = picked_;
-  std::vector<std::pair<JobId, NodeId>>& current_nodes = current_nodes_;
-  std::vector<JobId>& current_jobs = current_jobs_;
 
   std::uint64_t slot =
       static_cast<std::uint64_t>(std::max(0.0, std::floor(jobs_[0].release())));
@@ -129,36 +126,35 @@ SimResult SlotEngine::run() {
     kernel.deliver_due_events(now, DeadlineDuePolicy::kBeforeNextSlot);
     if (!kernel.decide(now, assignment)) break;
 
-    // (2) Execute the slot: each granted job runs min(procs, #ready) ready
-    // nodes, each consuming min(speed, remaining) work.  Nodes that finish
-    // mid-slot leave their processor idle for the rest of the slot.
-    kernel.begin_interval();
-    current_nodes.clear();
-    current_jobs.clear();
-    std::size_t proc_cursor = 0;
-    for (const JobAlloc& alloc : assignment.allocs) {
-      kernel.select_nodes(alloc, picked);
-      if (!picked.empty()) current_jobs.push_back(alloc.job);
+    // (2) Build the slot's execution set and account its preemptions
+    // (ran last slot, unfinished, idle now).  Then execute it: each granted
+    // job runs min(procs, #ready) ready nodes, each consuming
+    // min(speed, remaining) work.  Nodes that finish mid-slot leave their
+    // processor idle for the rest of the slot.
+    kernel.begin_interval(now, assignment);
+    const auto& nodes = kernel.interval_nodes();
+    const auto& group_ends = kernel.interval_group_ends();
+    std::size_t p = 0;
+    for (std::size_t g = 0; g < group_ends.size(); ++g) {
+      const JobId job = kernel.interval_jobs()[g];
       Time job_finish = 0.0;
-      for (const NodeId node : picked) {
-        current_nodes.emplace_back(alloc.job, node);
-        const Work remaining = kernel.remaining_work(alloc.job, node);
-        const Work amount = std::min(speed, remaining);
+      bool any_done = false;
+      for (; p < group_ends[g]; ++p) {
+        const NodeId node = nodes[p].second;
+        const Work amount = std::min(speed, kernel.remaining_work(job, node));
         const Time duration = amount / speed;
-        kernel.advance_node(alloc.job, node, amount, now, duration,
-                            kernel.phys_proc(proc_cursor));
-        ++proc_cursor;
+        any_done |= kernel.advance_node(job, node, amount, now, duration,
+                                        kernel.phys_proc(p));
         job_finish = std::max(job_finish, now + duration);
       }
-      kernel.mark_if_completed(alloc.job, job_finish);
+      if (any_done) kernel.mark_if_completed(job, job_finish);
     }
-    kernel.observe_running(current_nodes.size());
+    kernel.observe_running(nodes.size());
     kernel.account_step_time(1.0);
 
-    // (3) Preemption accounting (ran last slot, unfinished, idle now), then
-    // completion notifications at the end of the slot.
-    kernel.account_preemptions(now, current_nodes, current_jobs);
-    kernel.commit_interval(current_nodes, current_jobs);
+    // (3) Retire the slot as the previous interval, then notify completions
+    // at the end of the slot.
+    kernel.end_interval();
     const bool completed_any = kernel.has_pending_completions();
     kernel.notify_completions(now + 1.0);
     kernel.set_end_time(now + 1.0);

@@ -102,9 +102,6 @@ class SlotEngine {
   // SimKernel::begin() on each subsequent one.
   std::unique_ptr<SimKernel> kernel_;
   Assignment assignment_;
-  std::vector<NodeId> picked_;
-  std::vector<std::pair<JobId, NodeId>> current_nodes_;
-  std::vector<JobId> current_jobs_;
 };
 
 }  // namespace dagsched
