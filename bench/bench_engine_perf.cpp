@@ -2,7 +2,8 @@
 //
 // Measures the cost of the building blocks so users can size experiments:
 // event-engine decision throughput, slot-engine slot throughput, admission
-// index operations, allocation math, and the simplex OPT bound.
+// index operations, allocation math, the simplex OPT bound, and `.wl`
+// workload loading.
 //
 // Pass `--out perf.json` (stripped before google-benchmark sees the
 // arguments) to additionally write the measurements as a versioned
@@ -18,7 +19,10 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <istream>
 #include <memory>
+#include <sstream>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -36,6 +40,7 @@
 #include "sim/event_engine.h"
 #include "sim/slot_engine.h"
 #include "workload/scenarios.h"
+#include "workload/workload_io.h"
 
 namespace {
 
@@ -418,6 +423,51 @@ void BM_DagGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_DagGeneration);
 
+/// A read-only streambuf over a string, so each iteration parses the same
+/// bytes without copying them into a stringstream.
+class StringViewBuf : public std::streambuf {
+ public:
+  explicit StringViewBuf(std::string& text) {
+    setg(text.data(), text.data(), text.data() + text.size());
+  }
+};
+
+/// `read_workload` on an in-memory thm2 `.wl` (Arg is the make_scale_jobs
+/// horizon scale; 600 gives ~5k jobs).  The text is generated and serialized
+/// outside the timed loop.  `dag_bytes_per_node` is Dag::memory_bytes()
+/// summed over the parsed jobs per node.
+void BM_LoadWorkload(benchmark::State& state) {
+  std::string text;
+  {
+    std::ostringstream out;
+    const auto scale = static_cast<std::size_t>(state.range(0));
+    write_workload(out, make_scale_jobs(scale));
+    text = std::move(out).str();
+  }
+  const auto load = [&text] {
+    StringViewBuf buf(text);
+    std::istream in(&buf);
+    return read_workload(in, "bench.wl");
+  };
+  for (auto _ : state) benchmark::DoNotOptimize(load().size());
+
+  const JobSet loaded = load();
+  std::size_t dag_bytes = 0;
+  std::size_t nodes = 0;
+  for (const Job& job : loaded.jobs()) {
+    dag_bytes += job.dag().memory_bytes();
+    nodes += job.dag().num_nodes();
+  }
+  state.counters["jobs"] = static_cast<double>(loaded.size());
+  state.counters["mb_per_s"] = benchmark::Counter(
+      static_cast<double>(text.size()) / 1e6 *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["dag_bytes_per_node"] =
+      static_cast<double>(dag_bytes) / static_cast<double>(nodes);
+}
+BENCHMARK(BM_LoadWorkload)->Arg(600);
+
 /// Console output as usual, plus a structured copy of every finished run
 /// for the --out bench report.
 class CollectingReporter : public benchmark::ConsoleReporter {
@@ -470,7 +520,7 @@ int main(int argc, char** argv) {
       "BM_ShardBarrierOverhead/1$|BM_ShardBarrierOverhead/4$|"
       "BM_EventEnginePaperSSharded/10000$|BM_EventEnginePaperSSharded/100000$|"
       "BM_EventEnginePaperSTelemetry/50$|BM_EventEnginePaperSTelemetry/10000$|"
-      "BM_SlotEngineEdfTelemetry/100$";
+      "BM_SlotEngineEdfTelemetry/100$|BM_LoadWorkload/600$";
   static char quick_min_time[] = "--benchmark_min_time=0.25";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];

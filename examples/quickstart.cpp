@@ -23,7 +23,7 @@ int main() {
     builder.add_edge(source, task);
     builder.add_edge(task, sink);
   }
-  auto dag = std::make_shared<const Dag>(std::move(builder).build());
+  auto dag = std::make_shared<const Dag>(builder.build());
   std::cout << "job: W = " << dag->total_work() << ", L = " << dag->span()
             << "\n";
 

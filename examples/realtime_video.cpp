@@ -39,7 +39,7 @@ std::shared_ptr<const Dag> make_segment_pipeline(Rng& rng,
     b.add_edge(analyze, encode);
     b.add_edge(encode, mux);
   }
-  return std::make_shared<const Dag>(std::move(b).build());
+  return std::make_shared<const Dag>(b.build());
 }
 
 JobSet make_stream_mix(Rng& rng, ProcCount m, double load, Time horizon) {

@@ -5,12 +5,15 @@
 //   NodeId a = b.add_node(2.0);
 //   NodeId c = b.add_node(1.5);
 //   b.add_edge(a, c);
-//   Dag dag = std::move(b).build();   // validates: acyclic, positive work
+//   Dag dag = b.build();   // validates: acyclic, positive work
+//   b.clear();             // ready for the next DAG; capacity is kept
 //
-// build() throws std::invalid_argument on cycles, self-edges, duplicate
-// edges, out-of-range endpoints, or non-positive node work.  Disconnected
-// DAGs are allowed (the paper's Figure-1 construction is a chain next to an
-// independent block).
+// add_node/add_edge/build() throw std::invalid_argument on cycles,
+// self-edges, duplicate edges, out-of-range endpoints, non-positive or
+// non-finite node work, or counts past the 32-bit id and offset range.
+// Disconnected DAGs are allowed (the paper's Figure-1 construction is a
+// chain next to an independent block).  One builder reused through clear()
+// builds the same DAGs as fresh builders, also after a build() that threw.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +32,10 @@ class DagBuilder {
   /// Reserve capacity for `nodes` nodes (optional optimization).
   void reserve(std::size_t nodes, std::size_t edges = 0);
 
-  /// Adds a node with the given processing time (> 0); returns its id.
+  /// Empties the builder for the next DAG, keeping its capacity.
+  void clear();
+
+  /// Adds a node with the given finite processing time (> 0); returns its id.
   NodeId add_node(Work processing_time);
 
   /// Adds a precedence edge: `to` cannot start until `from` completes.
@@ -41,8 +47,10 @@ class DagBuilder {
 
   std::size_t num_nodes() const { return work_.size(); }
 
-  /// Validates and produces the immutable Dag. Consumes the builder.
-  Dag build() &&;
+  /// Validates and produces the immutable Dag in one exactly-sized block.
+  /// The builder keeps its nodes and its edges (sorted); clear() it before
+  /// the next DAG.
+  Dag build();
 
  private:
   std::vector<Work> work_;

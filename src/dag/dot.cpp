@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "util/float_cmp.h"
 
@@ -12,11 +13,12 @@ void write_dot(std::ostream& os, const Dag& dag,
   os << "digraph " << graph_name << " {\n"
      << "  rankdir=LR;\n"
      << "  node [shape=circle, fontsize=10];\n";
+  const std::vector<Work> top = top_levels(dag);
   for (NodeId v = 0; v < dag.num_nodes(); ++v) {
     // A node is on a critical path iff the longest path through it has the
     // full span weight.
     const bool critical =
-        approx_eq(dag.top_level(v) + dag.bottom_level(v) - dag.node_work(v),
+        approx_eq(top[v] + dag.bottom_level(v) - dag.node_work(v),
                   dag.span());
     os << "  n" << v << " [label=\"" << v << "\\n" << dag.node_work(v) << "\"";
     if (critical) os << ", style=filled, fillcolor=lightcoral";

@@ -24,13 +24,13 @@ Work WorkDist::sample(Rng& rng) const {
 Dag make_single_node(Work w) {
   DagBuilder b;
   b.add_node(w);
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_chain(std::size_t nodes, Work node_work) {
   DagBuilder b;
   b.add_chain(nodes, node_work);
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_parallel_block(std::size_t nodes, Work node_work) {
@@ -38,7 +38,7 @@ Dag make_parallel_block(std::size_t nodes, Work node_work) {
   DagBuilder b;
   b.reserve(nodes);
   for (std::size_t i = 0; i < nodes; ++i) b.add_node(node_work);
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_fig1_dag(ProcCount m, std::size_t chain_nodes, Work node_work) {
@@ -49,7 +49,7 @@ Dag make_fig1_dag(ProcCount m, std::size_t chain_nodes, Work node_work) {
   b.reserve(chain_nodes + block_nodes, chain_nodes - 1);
   b.add_chain(chain_nodes, node_work);
   for (std::size_t i = 0; i < block_nodes; ++i) b.add_node(node_work);
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_fig2_dag(std::size_t chain_nodes, std::size_t block_nodes,
@@ -65,7 +65,7 @@ Dag make_fig2_dag(std::size_t chain_nodes, std::size_t block_nodes,
     const NodeId blk = b.add_node(node_size);
     b.add_edge(last, blk);
   }
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_fork_join(std::size_t segments, std::size_t width, Work node_work,
@@ -86,7 +86,7 @@ Dag make_fork_join(std::size_t segments, std::size_t width, Work node_work,
     }
     prev_join = join;
   }
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_wavefront(std::size_t rows, std::size_t cols, Work node_work) {
@@ -106,7 +106,7 @@ Dag make_wavefront(std::size_t rows, std::size_t cols, Work node_work) {
       if (c > 0) b.add_edge(id(r, c - 1), id(r, c));
     }
   }
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_stencil_1d(std::size_t iterations, std::size_t width,
@@ -127,7 +127,7 @@ Dag make_stencil_1d(std::size_t iterations, std::size_t width,
       if (i + 1 < width) b.add_edge(id(t - 1, i + 1), id(t, i));
     }
   }
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_map_reduce(std::size_t mappers, std::size_t reducers, Work map_work,
@@ -147,7 +147,7 @@ Dag make_map_reduce(std::size_t mappers, std::size_t reducers, Work map_work,
     for (const NodeId reduce : reduces) b.add_edge(map, reduce);
   }
   for (const NodeId reduce : reduces) b.add_edge(reduce, output);
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_layered_random(Rng& rng, const LayeredParams& params) {
@@ -178,7 +178,7 @@ Dag make_layered_random(Rng& rng, const LayeredParams& params) {
     }
     prev_layer = std::move(this_layer);
   }
-  return std::move(b).build();
+  return b.build();
 }
 
 namespace {
@@ -219,7 +219,7 @@ Dag make_series_parallel(Rng& rng, const SeriesParallelParams& params) {
   DS_CHECK(params.min_branch >= 2 && params.min_branch <= params.max_branch);
   DagBuilder b;
   (void)sp_generate(b, rng, params, params.max_depth);
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_random_dag(Rng& rng, const RandomDagParams& params) {
@@ -235,7 +235,7 @@ Dag make_random_dag(Rng& rng, const RandomDagParams& params) {
       }
     }
   }
-  return std::move(b).build();
+  return b.build();
 }
 
 }  // namespace dagsched

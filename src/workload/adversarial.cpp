@@ -63,7 +63,7 @@ Dag make_clogger_dag(ProcCount m) {
   DagBuilder b;
   b.add_chain(chain_nodes, 1.0);
   for (std::size_t i = 0; i < chain_nodes; ++i) b.add_node(1.0);
-  return std::move(b).build();
+  return b.build();
 }
 
 Dag make_flat_dag(ProcCount m) {

@@ -55,7 +55,7 @@ std::shared_ptr<const Dag> synthesize_dag(Work work, Work span,
     b.add_node(chunk);
     remaining -= chunk;
   }
-  return std::make_shared<const Dag>(std::move(b).build());
+  return std::make_shared<const Dag>(b.build());
 }
 
 }  // namespace

@@ -408,7 +408,11 @@ JobSet read_workload(std::istream& is, const std::string& source) {
     }
   }
 
+  // One builder serves the whole file: each job empties it and keeps its
+  // capacity, so only the Dag's own block is allocated per job.
+  DagBuilder builder;
   for (; more; more = reader.next_content(line)) {
+    builder.clear();
     LineParser job_in(source, line, reader.lineno());
     const std::size_t kw_col = job_in.next_column();
     const std::string_view keyword = job_in.token("job keyword");
@@ -438,7 +442,6 @@ JobSet read_workload(std::istream& is, const std::string& source) {
       if (num_nodes == 0) nodes_in.fail(count_col, "node count must be >= 1");
       nodes_in.expect_end();
     }
-    DagBuilder builder;
     {
       LineParser works_in = require_line("node works line");
       // Each work takes at least two bytes ("1 ").
@@ -501,7 +504,7 @@ JobSet read_workload(std::istream& is, const std::string& source) {
     // DagBuilder::build() validates acyclicity and duplicate edges; wrap
     // its exception so the caller still gets a positioned diagnostic.
     try {
-      jobs.add(Job(std::make_shared<const Dag>(std::move(builder).build()),
+      jobs.add(Job(std::make_shared<const Dag>(builder.build()),
                    release, std::move(profit)));
     } catch (const std::invalid_argument& err) {
       throw ParseError(source, reader.lineno(), 1,

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -36,6 +37,19 @@ TEST(DagBuilder, RejectsNonPositiveWork) {
   DagBuilder b;
   EXPECT_THROW(b.add_node(0.0), std::invalid_argument);
   EXPECT_THROW(b.add_node(-1.0), std::invalid_argument);
+}
+
+// +inf passes a plain "> 0" test, and an infinite node could never finish.
+TEST(DagBuilder, RejectsNonFiniteWork) {
+  DagBuilder b;
+  EXPECT_THROW(b.add_node(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(b.add_node(-std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(b.add_node(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(b.num_nodes(), 0u);
+  EXPECT_EQ(b.add_node(std::numeric_limits<double>::max()), 0u);
 }
 
 TEST(DagBuilder, RejectsSelfEdge) {
@@ -161,10 +175,11 @@ TEST(Dag, TopologicalOrderRespectsEdges) {
 
 TEST(Dag, Levels) {
   const Dag dag = diamond();
-  EXPECT_DOUBLE_EQ(dag.top_level(0), 1.0);
-  EXPECT_DOUBLE_EQ(dag.top_level(1), 3.0);   // 1 + 2
-  EXPECT_DOUBLE_EQ(dag.top_level(2), 4.0);   // 1 + 3
-  EXPECT_DOUBLE_EQ(dag.top_level(3), 8.0);   // 1 + 3 + 4
+  const std::vector<Work> top = top_levels(dag);
+  EXPECT_DOUBLE_EQ(top[0], 1.0);
+  EXPECT_DOUBLE_EQ(top[1], 3.0);   // 1 + 2
+  EXPECT_DOUBLE_EQ(top[2], 4.0);   // 1 + 3
+  EXPECT_DOUBLE_EQ(top[3], 8.0);   // 1 + 3 + 4
   EXPECT_DOUBLE_EQ(dag.bottom_level(0), 8.0);
   EXPECT_DOUBLE_EQ(dag.bottom_level(1), 6.0);  // 2 + 4
   EXPECT_DOUBLE_EQ(dag.bottom_level(2), 7.0);  // 3 + 4
