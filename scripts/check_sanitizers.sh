@@ -4,10 +4,11 @@
 # Default mode: AddressSanitizer + UndefinedBehaviorSanitizer (the
 # `asan-ubsan` preset in CMakePresets.json) over the whole suite.
 #
-# --tsan: ThreadSanitizer (the `tsan` preset) over the threaded suites --
-# the sharded-run tests (test_shard: ShardRuntime prefetch, epoch barriers,
-# restart rendezvous) and the sweep executor (test_sweep: WorkStealingPool
-# push/close/park protocol).  Extra ctest args narrow further.
+# --tsan: ThreadSanitizer (the `tsan` preset) over the threaded suite --
+# the sweep executor (test_sweep: WorkStealingPool push/close/park
+# protocol, the only code that shares mutable state across threads, and
+# ShardParity, which runs replicas of one simulation on several worker
+# threads at once).  Extra ctest args narrow further.
 #
 # Usage: scripts/check_sanitizers.sh [--tsan] [ctest-args...]
 #   e.g. scripts/check_sanitizers.sh -R ObsReplay
@@ -25,7 +26,7 @@ fi
 
 if [ "$mode" = "tsan" ]; then
   cmake --preset tsan
-  cmake --build --preset tsan -j"$(nproc)" --target test_shard test_sweep
+  cmake --build --preset tsan -j"$(nproc)" --target test_sweep
   # second_deadlock_stack makes lock-inversion reports actionable;
   # halt_on_error turns any report into a test failure instead of a log line.
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"

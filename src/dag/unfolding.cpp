@@ -2,51 +2,94 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/wire.h"
 
 namespace dagsched {
 
-void UnfoldingState::allocate_block() {
-  const std::size_t rem_bytes = sizeof(Work) * n_;
-  const std::size_t idx_bytes = sizeof(NodeId) * 4 * static_cast<std::size_t>(n_);
-  if (arena_ != nullptr) {
-    auto* base = static_cast<std::byte*>(
-        arena_->allocate(rem_bytes + idx_bytes, alignof(Work)));
-    rem_ = reinterpret_cast<Work*>(base);
-    idx_ = reinterpret_cast<NodeId*>(base + rem_bytes);
+UnfoldingState UnfoldingState::deferred(const Dag& dag,
+                                        std::span<const Work> works) {
+  UnfoldingState state;
+  state.dag_ = &dag;
+  state.n_ = static_cast<NodeId>(dag.num_nodes());
+  state.ready_size_ = static_cast<NodeId>(dag.sources().size());
+  state.nodes_remaining_ = state.n_;
+  if (works.empty()) {
+    state.total_remaining_ = dag.total_work();
   } else {
-    // Reserve the initial-work segment up front so ensure_init() never needs
-    // to reallocate; only fault-scaled or fault-restored jobs touch it.
-    // new[] not make_unique: every byte is written before it is read, so
-    // skip the value-init memset.
-    owned_.reset(new std::byte[rem_bytes * 2 + idx_bytes]);
-    rem_ = reinterpret_cast<Work*>(owned_.get());
-    idx_ = reinterpret_cast<NodeId*>(owned_.get() + rem_bytes);
+    DS_CHECK_MSG(works.size() == dag.num_nodes(),
+                 "works size " << works.size() << " != nodes "
+                               << dag.num_nodes());
+    for (const Work w : works) state.total_remaining_ += w;
   }
+  return state;
+}
+
+void UnfoldingState::materialize(std::byte* block,
+                                 std::span<const Work> works) {
+  DS_CHECK(engaged() && idx_ == nullptr && nodes_remaining_ == n_);
+  const bool scaled = !works.empty();
+  rem_ = reinterpret_cast<Work*>(block);
+  init_ = scaled ? rem_ + n_ : nullptr;
+  idx_ = reinterpret_cast<NodeId*>(rem_ + (scaled ? 2 : 1) *
+                                              static_cast<std::size_t>(n_));
+  if (scaled) {
+    for (NodeId v = 0; v < n_; ++v) {
+      DS_CHECK_MSG(works[v] > 0.0,
+                   "node " << v << " has non-positive work " << works[v]);
+      init_[v] = works[v];
+      rem_[v] = works[v];
+    }
+  }
+  ready_size_ = 0;
+  init_structure(*dag_, /*fill_rem=*/!scaled);
+  std::memset(node_stamps(), 0, sizeof(std::uint32_t) * n_);
+}
+
+void UnfoldingState::materialize_owned(std::span<const Work> works) {
+  // Always room for the initial-work column, after the unscaled layout, so
+  // ensure_init() never needs to reallocate.  new[] not make_unique: every
+  // byte is written before it is read, so skip the value-init memset.
+  owned_.reset(new std::byte[block_bytes(n_, true)]);
+  materialize(owned_.get(), works);
+}
+
+UnfoldingState::UnfoldingState(const Dag& dag)
+    : UnfoldingState(deferred(dag, {})) {
+  materialize_owned({});
+}
+
+UnfoldingState::UnfoldingState(const Dag& dag, const std::vector<Work>& works)
+    : UnfoldingState(deferred(dag, works)) {
+  DS_CHECK_MSG(!works.empty() || dag.num_nodes() == 0,
+               "works size 0 != nodes " << dag.num_nodes());
+  materialize_owned(works);
+}
+
+std::byte* UnfoldingState::release_block() {
+  DS_CHECK(idx_ != nullptr && owned_ == nullptr);
+  std::byte* block = reinterpret_cast<std::byte*>(rem_);
+  rem_ = init_ = nullptr;
+  idx_ = nullptr;
+  return block;
 }
 
 Work* UnfoldingState::ensure_init() {
   if (init_ != nullptr) return init_;
-  if (arena_ != nullptr) {
-    init_ = arena_->allocate_array<Work>(n_);
-  } else {
-    init_ = reinterpret_cast<Work*>(
-        owned_.get() + sizeof(Work) * n_ +
-        sizeof(NodeId) * 4 * static_cast<std::size_t>(n_));
-  }
+  DS_CHECK(owned_ != nullptr);
+  init_ = reinterpret_cast<Work*>(owned_.get() + block_bytes(n_, false));
   for (NodeId v = 0; v < n_; ++v) init_[v] = dag_->node_work(v);
   return init_;
 }
 
 void UnfoldingState::init_structure(const Dag& dag, bool fill_rem) {
   // Pending-pred counts, the (empty) ready list, ready positions, statuses
-  // -- and, for the plain constructor, the remaining-work column fused into
-  // the same pass over the fresh block (one sweep instead of two; the
-  // fault-scaled constructor fills rem_ itself).  Sources become ready in
-  // id order.
+  // -- and, for the unscaled layout, the remaining-work column fused into
+  // the same pass over the fresh block (one sweep instead of two; scaled
+  // works are filled by materialize itself).  Sources become ready in id
+  // order.
   NodeId* pending = idx_ + pending_off();
   NodeId* ready_pos = idx_ + ready_pos_off();
   for (NodeId v = 0; v < n_; ++v) {
@@ -61,37 +104,6 @@ void UnfoldingState::init_structure(const Dag& dag, bool fill_rem) {
     ready_pos[v] = ready_size_;
     ready[ready_size_++] = v;
   }
-}
-
-UnfoldingState::UnfoldingState(const Dag& dag, BumpArena* arena)
-    : dag_(&dag),
-      arena_(arena),
-      n_(static_cast<NodeId>(dag.num_nodes())),
-      nodes_remaining_(static_cast<NodeId>(dag.num_nodes())),
-      total_remaining_(dag.total_work()) {
-  allocate_block();
-  init_structure(dag, /*fill_rem=*/true);
-}
-
-UnfoldingState::UnfoldingState(const Dag& dag, const std::vector<Work>& works,
-                               BumpArena* arena)
-    : dag_(&dag),
-      arena_(arena),
-      n_(static_cast<NodeId>(dag.num_nodes())),
-      nodes_remaining_(static_cast<NodeId>(dag.num_nodes())) {
-  DS_CHECK_MSG(works.size() == dag.num_nodes(),
-               "works size " << works.size() << " != nodes "
-                             << dag.num_nodes());
-  allocate_block();
-  Work* init = ensure_init();
-  for (NodeId v = 0; v < n_; ++v) {
-    DS_CHECK_MSG(works[v] > 0.0,
-                 "node " << v << " has non-positive work " << works[v]);
-    init[v] = works[v];
-    rem_[v] = works[v];
-    total_remaining_ += works[v];
-  }
-  init_structure(dag, /*fill_rem=*/false);
 }
 
 Work UnfoldingState::reset_progress(NodeId node) {
@@ -141,20 +153,58 @@ void UnfoldingState::mark_done(NodeId node, std::vector<NodeId>* newly_ready) {
   }
 }
 
-void UnfoldingState::save_state(CheckpointWriter& out) const {
+void UnfoldingState::save_state(CheckpointWriter& out,
+                                std::span<const Work> initial) const {
   out.u64(n_);
   // Fixed dagsched.checkpoint/1 order: the initial-work column is written
   // even when elided in memory (it then equals the Dag's declared works).
-  for (NodeId v = 0; v < n_; ++v) out.f64(initial_work(v));
-  for (NodeId v = 0; v < n_; ++v) out.f64(rem_[v]);
-  const std::size_t idx_len = 4 * static_cast<std::size_t>(n_);
-  for (std::size_t i = 0; i < idx_len; ++i) out.u32(idx_[i]);
+  const auto initial_of = [&](NodeId v) {
+    if (idx_ != nullptr) return initial_work(v);
+    return initial.empty() ? dag_->node_work(v) : initial[v];
+  };
+  for (NodeId v = 0; v < n_; ++v) out.f64(initial_of(v));
+  if (idx_ != nullptr) {
+    for (NodeId v = 0; v < n_; ++v) out.f64(rem_[v]);
+    const std::size_t ready_end = static_cast<std::size_t>(n_) + ready_size_;
+    for (std::size_t i = 0; i < ready_end; ++i) out.u32(idx_[i]);
+    for (std::size_t i = ready_end; i < ready_pos_off(); ++i) out.u32(0);
+    for (std::size_t i = ready_pos_off(); i < 4 * std::size_t{n_}; ++i) {
+      out.u32(idx_[i]);
+    }
+  } else if (complete()) {
+    // The block a completed job released: every node done at zero remaining
+    // work, every pending count drained, no ready-list entry.
+    for (NodeId v = 0; v < n_; ++v) out.f64(0.0);
+    for (std::size_t i = 0; i < 2 * std::size_t{n_}; ++i) out.u32(0);
+    for (NodeId v = 0; v < n_; ++v) out.u32(kNpos);
+    for (NodeId v = 0; v < n_; ++v) out.u32(static_cast<NodeId>(Status::kDone));
+  } else {
+    // The pristine block init_structure would build: sources ready in id
+    // order (the Dag lists them so), everything else waiting.
+    const std::span<const NodeId> sources = dag_->sources();
+    for (NodeId v = 0; v < n_; ++v) out.f64(initial_of(v));
+    for (NodeId v = 0; v < n_; ++v) out.u32(dag_->in_degree(v));
+    for (const NodeId v : sources) out.u32(v);
+    for (std::size_t i = sources.size(); i < n_; ++i) out.u32(0);
+    NodeId next_source = 0;
+    for (NodeId v = 0; v < n_; ++v) {
+      const bool source = next_source < sources.size() &&
+                          sources[next_source] == v;
+      out.u32(source ? next_source++ : kNpos);
+    }
+    DS_CHECK(next_source == sources.size());
+    for (NodeId v = 0; v < n_; ++v) {
+      out.u32(static_cast<NodeId>(dag_->in_degree(v) == 0 ? Status::kReady
+                                                          : Status::kWaiting));
+    }
+  }
   out.u64(ready_size_);
   out.f64(total_remaining_);
   out.u32(nodes_remaining_);
 }
 
 void UnfoldingState::load_state(CheckpointReader& in) {
+  DS_CHECK(idx_ != nullptr);
   const std::uint64_t n = in.u64();
   if (n != n_) {
     in.fail("unfolding has " + std::to_string(n) + " nodes, DAG has " +
@@ -167,6 +217,11 @@ void UnfoldingState::load_state(CheckpointReader& in) {
     } else if (w != dag_->node_work(v)) {
       // Fault-scaled run: materialize the initial-work column on the first
       // value that diverges from the Dag (entries before it were equal).
+      if (owned_ == nullptr) {
+        in.fail("node " + std::to_string(v) +
+                " has a scaled initial work this run's fault plan does not "
+                "give it");
+      }
       ensure_init()[v] = w;
     }
   }
@@ -200,24 +255,30 @@ void UnfoldingState::load_state(CheckpointReader& in) {
   }
 }
 
-Work UnfoldingState::remaining_span() const {
+Work UnfoldingState::remaining_span(std::span<const Work> initial) const {
   // Longest path over unfinished nodes using remaining work, computed along
   // the static topological order (a superset of the unfinished subgraph's
   // topological order).  The scratch is thread-local and shared across
   // instances: stale entries need no clearing -- the only entries read are
   // those of non-done predecessors, and the topological sweep writes every
-  // non-done node before any successor reads it.
+  // non-done node before any successor reads it.  Without a block every
+  // node is done (completed) or unstarted (deferred), so the sweep below is
+  // the one a pristine block would run.
+  const bool block = idx_ != nullptr;
+  if (!block && complete()) return 0.0;
   thread_local std::vector<Work> span_depth;
   if (span_depth.size() < n_) span_depth.resize(n_);
   Work best = 0.0;
   for (NodeId v : dag_->topological_order()) {
-    if (status(v) == Status::kDone) continue;
+    if (block && status(v) == Status::kDone) continue;
     Work prefix = 0.0;
     for (NodeId u : dag_->predecessors(v)) {
-      if (status(u) == Status::kDone) continue;
+      if (block && status(u) == Status::kDone) continue;
       prefix = std::max(prefix, span_depth[u]);
     }
-    span_depth[v] = prefix + rem_[v];
+    const Work remaining =
+        block ? rem_[v] : (initial.empty() ? dag_->node_work(v) : initial[v]);
+    span_depth[v] = prefix + remaining;
     best = std::max(best, span_depth[v]);
   }
   return best;

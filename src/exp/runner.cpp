@@ -74,7 +74,6 @@ RunMetrics run_workload(const JobSet& jobs, SchedulerBase& scheduler,
   options.obs = config.obs;
   options.faults = config.faults;
   options.telemetry = config.telemetry;
-  options.shards = config.shards;
   const SimResult result =
       run_simulation(config.engine, jobs, scheduler, *selector, options);
   RunMetrics metrics;

@@ -49,9 +49,6 @@ struct RunConfig {
   const FaultInjector* faults = nullptr;
   /// Runtime-telemetry recorder forwarded to the engine (null = off).
   TelemetryRecorder* telemetry = nullptr;
-  /// Intra-run shard count forwarded to SimOptions::shards (0/1 = serial;
-  /// decision logs are shard-count-invariant, see sim/kernel/shard.h).
-  std::size_t shards = 1;
 };
 
 struct RunMetrics {

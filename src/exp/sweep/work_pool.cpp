@@ -5,10 +5,9 @@
 namespace dagsched {
 
 namespace {
-/// Spin budget before an idle next() parks.  Matches the shard runtime's
-/// discipline (sim/kernel/shard.cpp): long enough to bridge the gap to a
-/// producer that is mid-push, short enough that a genuinely idle worker
-/// reaches the condvar in microseconds.
+/// Spin budget before an idle next() parks: long enough to bridge the gap
+/// to a producer that is mid-push, short enough that a genuinely idle
+/// worker reaches the condvar in microseconds.
 constexpr int kSpinLimit = 4096;
 }  // namespace
 

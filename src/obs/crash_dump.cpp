@@ -57,19 +57,24 @@ void CrashDumpGuard::dump(const std::string& message) {
   // Stamp the abort at the time of the last recorded decision: the engine's
   // clock is unreachable from here, and the final event's time is the best
   // available estimate of when the run died.
-  const Time when = log_->empty() ? 0.0 : log_->events().back().time;
+  const Time when = log_->last_time();
   (void)message;  // full text already on stderr; the log stays numeric-only
-  if (std::ostream* stream = log_->stream(); stream != nullptr) {
-    // Streaming mode: the file already holds (a possibly ragged prefix of)
-    // the log.  Detach first so the emit below is not double-written, flush
-    // buffered complete lines, truncate any partial tail, then append the
-    // abort event so the dump ends on a complete record.
-    log_->stream_to(nullptr);
-    stream->flush();
-    log_->emit(when, kInvalidJob, ObsEventKind::kEngineAbort, "ds-check");
+  if (std::ostream* stream = log_->stream();
+      stream != nullptr || log_->streamed()) {
+    // Streaming mode (also after a detach): the file already holds (a
+    // possibly ragged prefix of) the log, and memory holds none of it.
+    // Detach, flush buffered complete lines, truncate any partial tail,
+    // then append the abort event so the dump ends on a complete record.
+    if (stream != nullptr) {
+      log_->stream_to(nullptr);
+      stream->flush();
+    }
     truncate_to_last_complete_line(path_);
     std::ofstream out(path_, std::ios::app);
-    if (out) write_event_jsonl(out, log_->events().back());
+    if (out) {
+      write_event_jsonl(
+          out, {when, kInvalidJob, ObsEventKind::kEngineAbort, "ds-check", {}});
+    }
     return;
   }
   log_->emit(when, kInvalidJob, ObsEventKind::kEngineAbort, "ds-check");

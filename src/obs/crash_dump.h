@@ -7,9 +7,10 @@
 // event (reason "ds-check", detail-free; the failure text goes in the
 // event's reason slug's sibling file on stderr) and writes the whole log as
 // JSONL to a path chosen at construction.  If the log is streaming
-// (EventLog::stream_to) the guard instead flushes the stream, truncates any
-// partial trailing record so the file ends on a complete line, and appends
-// only the abort event.  The guard restores the previous hook on
+// (EventLog::stream_to; it then keeps no events in memory) the guard
+// instead flushes the stream, truncates any partial trailing record so the
+// file ends on a complete line, and appends only the abort event, stamped
+// with the log's last event time.  The guard restores the previous hook on
 // destruction, so scopes nest.
 //
 // The hook runs between the failure message being printed and std::abort;

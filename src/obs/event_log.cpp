@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 
+#include "util/check.h"
 #include "util/json.h"
 
 namespace dagsched {
@@ -150,8 +151,15 @@ void write_event_jsonl(std::ostream& out, const DecisionEvent& event) {
   out.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
+const std::vector<DecisionEvent>& EventLog::events() const {
+  DS_CHECK_MSG(streamed_ == 0,
+               "EventLog::events() on a streamed log: its "
+                   << streamed_ << " streamed events were not kept");
+  return events_;
+}
+
 void EventLog::write_jsonl(std::ostream& out) const {
-  for (const DecisionEvent& event : events_) write_event_jsonl(out, event);
+  for (const DecisionEvent& event : events()) write_event_jsonl(out, event);
 }
 
 std::optional<std::vector<DecisionEvent>> EventLog::parse_jsonl(

@@ -80,22 +80,40 @@ class EventLog {
  public:
   void emit(Time time, JobId job, ObsEventKind kind, std::string reason = {},
             std::vector<std::pair<std::string, double>> detail = {}) {
+    last_time_ = time;
+    if (stream_ != nullptr) {
+      write_event_jsonl(*stream_, {time, job, kind, std::move(reason),
+                                   std::move(detail)});
+      ++streamed_;
+      return;
+    }
     events_.push_back(
         {time, job, kind, std::move(reason), std::move(detail)});
-    if (stream_ != nullptr) write_event_jsonl(*stream_, events_.back());
   }
 
-  /// Streaming mode: every emit() additionally appends its JSONL line to
-  /// `out` immediately, so a killed process loses at most the OS-buffered
-  /// tail instead of the whole log.  Pass nullptr to detach.  The in-memory
-  /// vector is still kept (reports and crash dumps read it).
+  /// Streaming mode: every emit() writes its JSONL line to `out`
+  /// immediately, so a killed process loses at most the OS-buffered tail
+  /// instead of the whole log, and the event is not kept in memory -- the
+  /// log keeps only its count and last time (size(), last_time()).  Pass
+  /// nullptr to detach.
   void stream_to(std::ostream* out) { stream_ = out; }
   std::ostream* stream() const { return stream_; }
 
-  const std::vector<DecisionEvent>& events() const { return events_; }
-  std::size_t size() const { return events_.size(); }
-  bool empty() const { return events_.empty(); }
-  void clear() { events_.clear(); }
+  /// The kept events.  A log that has streamed events kept none of them:
+  /// calling this on it is a DS_CHECK failure.
+  const std::vector<DecisionEvent>& events() const;
+  /// True once any event went to a stream instead of memory.
+  bool streamed() const { return streamed_ != 0; }
+  /// Events emitted so far, streamed or kept.
+  std::size_t size() const { return events_.size() + streamed_; }
+  bool empty() const { return size() == 0; }
+  /// Time of the last emitted event (0 when empty).
+  Time last_time() const { return last_time_; }
+  void clear() {
+    events_.clear();
+    streamed_ = 0;
+    last_time_ = 0.0;
+  }
 
   /// One compact JSON object per line:
   ///   {"t":3,"job":17,"kind":"drop","reason":"stale","detail":{"v":1.5}}
@@ -109,6 +127,8 @@ class EventLog {
  private:
   std::vector<DecisionEvent> events_;
   std::ostream* stream_ = nullptr;
+  std::size_t streamed_ = 0;  // emitted to a stream, not kept
+  Time last_time_ = 0.0;
 };
 
 }  // namespace dagsched

@@ -103,6 +103,14 @@ std::uint64_t run_config_fingerprint(std::string_view workload_bytes,
                                      std::string_view engine,
                                      std::string_view selector,
                                      std::string_view fault_spec);
+/// The same fingerprint from fnv1a64(workload bytes), for callers that hash
+/// the workload file block by block (fnv1a64_stream).
+std::uint64_t run_config_fingerprint(std::uint64_t workload_hash,
+                                     std::string_view scheduler, double eps,
+                                     ProcCount m, double speed,
+                                     std::string_view engine,
+                                     std::string_view selector,
+                                     std::string_view fault_spec);
 
 /// Verifies a checkpoint belongs to the run configuration about to resume
 /// it; throws CheckpointError naming the first mismatched field (scheduler,

@@ -1,7 +1,7 @@
 // EngineContext: everything a scheduler may consult when making a decision.
 //
 // Semi-non-clairvoyant schedulers use view()/active_jobs() only.  The
-// clairvoyant accessors (dag_of / unfolding_of) DS_CHECK that the scheduler
+// clairvoyant accessors (dag_of / remaining_span_of) DS_CHECK that the scheduler
 // declared itself clairvoyant, so a semi-non-clairvoyant policy cannot
 // accidentally peek at DAG structure.
 #pragma once
@@ -17,6 +17,7 @@
 
 namespace dagsched {
 
+class FaultInjector;
 struct ObsSink;
 
 /// Read-only view over the kernel's active set.  The kernel removes
@@ -81,14 +82,6 @@ class EngineContext {
   /// policy counters; see obs/sink.h.
   const ObsSink* obs() const { return obs_; }
 
-  /// Staged arrival-precompute bytes for the job currently being delivered
-  /// via on_arrival(), or nullptr.  Only non-null inside on_arrival() on
-  /// sharded runs (KernelOptions::shards > 1) for schedulers that opted in
-  /// via SchedulerBase::arrival_precompute_size(); layout is whatever the
-  /// policy's precompute_arrival() wrote.  Policies must treat it as an
-  /// optional cache -- the serial path never sets it.
-  const void* arrival_prep() const { return arrival_prep_; }
-
   /// Semi-non-clairvoyant window onto job `id` (any job, arrived or not --
   /// but an online scheduler should only touch jobs it has been told about).
   JobView view(JobId id) const {
@@ -110,14 +103,12 @@ class EngineContext {
     return (*jobs_)[id].dag();
   }
 
-  /// Full unfolding state (ready node identities, per-node progress);
-  /// clairvoyant schedulers only.
-  const UnfoldingState& unfolding_of(JobId id) const {
-    DS_CHECK_MSG(clairvoyant_allowed_,
-                 "semi-non-clairvoyant scheduler peeked at unfolding state");
-    DS_CHECK(state_->unfolding(id).engaged());
-    return state_->unfolding(id);
-  }
+  /// Remaining span of job `id` (UnfoldingState::remaining_span: the
+  /// heaviest path through its unfinished nodes, at their remaining
+  /// works); clairvoyant schedulers only.  Answers for every arrived job,
+  /// including one the machine has not run yet, whose per-node state is not
+  /// built (kernel.cpp).
+  Work remaining_span_of(JobId id) const;
 
  private:
   friend class EventEngine;
@@ -131,7 +122,7 @@ class EngineContext {
   const ObsSink* obs_ = nullptr;
   const std::vector<Job>* jobs_ = nullptr;
   const JobStateTable* state_ = nullptr;
-  const void* arrival_prep_ = nullptr;
+  const FaultInjector* faults_ = nullptr;
 };
 
 }  // namespace dagsched

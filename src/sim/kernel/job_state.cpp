@@ -4,36 +4,19 @@
 
 namespace dagsched {
 
-void JobStateTable::reset(const JobSet& jobs, bool reserve_arena) {
+void JobStateTable::reset(const JobSet& jobs) {
   const std::size_t n = jobs.size();
   flags_.assign(n, 0);
   completion_time_.assign(n, kTimeInfinity);
-  // Disengage every unfolding before rewinding the arena its blocks live in.
+  // Disengage every unfolding before rewinding the pool its blocks live in.
   exec_.clear();
   exec_.resize(n);
-  arena_.reset();
+  pool_.reset();
 
   active_.clear();
   active_pos_.assign(n, kNoActiveSlot);
   active_live_ = 0;
 
-  node_stamp_base_.resize(n);
-  std::size_t total_nodes = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    node_stamp_base_[i] = static_cast<std::uint32_t>(total_nodes);
-    total_nodes += jobs[i].dag().num_nodes();
-  }
-  // Pre-size the arena for every job's unfolding block (work column +
-  // four NodeId index arrays, plus per-job alignment padding): one exact
-  // chunk instead of a doubling ramp whose retired chunks would double the
-  // resident footprint.  Fault-scaled init columns still grow on demand.
-  // Sharded runs skip this: their blocks live in the per-shard arenas, and
-  // reserving n jobs' worth here would double the resident footprint.
-  if (reserve_arena) {
-    arena_.reserve(total_nodes * (sizeof(Work) + 4 * sizeof(NodeId)) +
-                   n * alignof(Work));
-  }
-  node_stamp_.assign(total_nodes, 0);
   job_stamp_.assign(n, 0);
   alloc_stamp_.assign(n, 0);
 }
@@ -54,8 +37,6 @@ std::size_t JobStateTable::memory_bytes() const {
          exec_.capacity() * sizeof(JobExec) +
          active_.capacity() * sizeof(JobId) +
          active_pos_.capacity() * sizeof(std::uint32_t) +
-         node_stamp_base_.capacity() * sizeof(std::uint32_t) +
-         node_stamp_.capacity() * sizeof(std::uint32_t) +
          job_stamp_.capacity() * sizeof(std::uint32_t) +
          alloc_stamp_.capacity() * sizeof(std::uint32_t);
 }

@@ -8,10 +8,11 @@
 //
 //     flags            u8    arrived | completed | deadline-notified
 //     completion_time  f64   absolute completion time (inf = never)
-//     exec             JobExec: unfolding descriptor (block data in arena)
+//     exec             JobExec: unfolding descriptor (block in the pool)
 //                      + executed work + first start, one entry per job
 //     active slots/pos u32   arrival-ordered active set with tombstones
-//     stamps           u32   interval/alloc epoch stamps (flat node array)
+//     stamps           u32   job interval/alloc epoch stamps (the per-node
+//                            stamps live in each unfolding block)
 //
 // `executed` and `first_start` deliberately share the unfolding's column
 // entry instead of getting columns of their own: the kernel's node advance
@@ -19,9 +20,12 @@
 // misses per executed node (measured as a double-digit-percent slot-engine
 // regression) while no hot loop reads them without the unfolding.
 //
-// All unfolding per-node blocks are carved from one BumpArena owned here:
-// a job arrival after warmup costs zero heap allocations, and the arena's
-// high-water mark is the telemetry `unfolding_bytes` gauge.
+// Unfolding blocks exist only for jobs the machine runs: arrival arms the
+// descriptor without one (arm_unfolding), the kernel builds the block at
+// the job's first allocation (build_unfolding) and returns it at completion
+// (retire_unfolding).  Blocks come from a size-class BlockPool owned here,
+// so a rerun of the same instance costs zero heap allocations, and the
+// bytes the pool carved this run are the telemetry `unfolding_bytes` gauge.
 //
 // The active set keeps the seed's tombstone scheme: completions tombstone
 // their slot (kInvalidJob) instead of an O(|active|) erase, and the slot
@@ -32,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dag/unfolding.h"
@@ -69,13 +74,10 @@ class JobStateTable {
   static constexpr std::size_t kCompactSlack = 2;
 
   /// Resets every column for a fresh run over `jobs` (finalized JobSet).
-  /// Capacities and the arena's coalesced chunk are retained, so resetting
-  /// for a same-shaped run performs no heap allocation after the first.
-  /// `reserve_arena` pre-sizes the unfolding arena for every job's block;
-  /// sharded runs pass false because adopted blocks live in the per-shard
-  /// arenas instead (sim/kernel/shard.h) and only checkpoint-restore
-  /// emplacements land here.
-  void reset(const JobSet& jobs, bool reserve_arena = true);
+  /// Capacities and the block pool's coalesced chunk are retained, so
+  /// resetting for a same-shaped run performs no heap allocation after the
+  /// first.
+  void reset(const JobSet& jobs);
 
   std::size_t size() const { return flags_.size(); }
 
@@ -110,23 +112,32 @@ class JobStateTable {
   const UnfoldingState& unfolding(JobId id) const {
     return exec_[id].unfolding;
   }
-  void emplace_unfolding(JobId id, const Dag& dag) {
-    exec_[id].unfolding = UnfoldingState(dag, &arena_);
+  /// Arrival: arms `id`'s descriptor without a block (see
+  /// UnfoldingState::deferred; `works` = fault-scaled works or empty).
+  void arm_unfolding(JobId id, const Dag& dag, std::span<const Work> works) {
+    exec_[id].unfolding = UnfoldingState::deferred(dag, works);
   }
-  void emplace_unfolding(JobId id, const Dag& dag,
-                         const std::vector<Work>& works) {
-    exec_[id].unfolding = UnfoldingState(dag, works, &arena_);
+  /// First allocation: builds the armed descriptor's block from the pool.
+  /// `works` must be the span the job was armed with.
+  UnfoldingState& build_unfolding(JobId id, std::span<const Work> works) {
+    UnfoldingState& unfolding = exec_[id].unfolding;
+    unfolding.materialize(
+        static_cast<std::byte*>(pool_.acquire(UnfoldingState::block_bytes(
+            unfolding.dag().num_nodes(), !works.empty()))),
+        works);
+    return unfolding;
   }
-  /// Sharded delivery: installs an unfolding pre-built by a shard worker
-  /// (sim/kernel/shard.h).  A plain descriptor move -- the per-node block
-  /// stays in the shard's arena, which outlives the run and resets only
-  /// after this table has been reset.
-  void adopt_unfolding(JobId id, UnfoldingState&& staged) {
-    exec_[id].unfolding = std::move(staged);
+  /// Completion (or a restored pristine state): returns the block, if any,
+  /// to the pool; the descriptor's scalars keep answering for the job.
+  void retire_unfolding(JobId id) {
+    UnfoldingState& unfolding = exec_[id].unfolding;
+    if (!unfolding.has_block()) return;
+    const std::size_t bytes = unfolding.memory_bytes();
+    pool_.release(unfolding.release_block(), bytes);
   }
-  /// Arena backing every unfolding block; high_water() is the telemetry
-  /// unfolding_bytes gauge.
-  const BumpArena& unfolding_arena() const { return arena_; }
+  /// Block bytes carved this run: the most held at once, per size class
+  /// (telemetry unfolding_bytes).
+  std::size_t unfolding_bytes() const { return pool_.carved_bytes(); }
 
   // -- Active set -----------------------------------------------------------
 
@@ -174,15 +185,11 @@ class JobStateTable {
 
   // -- Epoch stamps (preemption accounting, duplicate-alloc detection) ------
 
-  /// `job`'s per-node stamps, indexed by NodeId.
-  std::uint32_t* node_stamps(JobId job) {
-    return node_stamp_.data() + node_stamp_base_[job];
-  }
   std::uint32_t& job_stamp(JobId id) { return job_stamp_[id]; }
   std::uint32_t& alloc_stamp(JobId id) { return alloc_stamp_[id]; }
 
-  /// Allocated (capacity) bytes of every column except the unfolding arena
-  /// (reported separately as unfolding_arena().high_water()).
+  /// Allocated (capacity) bytes of every column except the unfolding blocks
+  /// (reported separately as unfolding_bytes()).
   std::size_t memory_bytes() const;
 
  private:
@@ -191,7 +198,7 @@ class JobStateTable {
   std::vector<std::uint8_t> flags_;
   std::vector<Time> completion_time_;
   std::vector<JobExec> exec_;
-  BumpArena arena_;
+  BlockPool pool_;
 
   // Active set: arrival-ordered slots with tombstones (kInvalidJob) left by
   // completions -- expired-but-incomplete jobs stay active for their whole
@@ -202,10 +209,6 @@ class JobStateTable {
   std::vector<std::uint32_t> active_pos_;
   std::size_t active_live_ = 0;
 
-  // Flat epoch-stamp arrays: node_stamp_ spans all jobs' nodes, offset by
-  // node_stamp_base_.
-  std::vector<std::uint32_t> node_stamp_base_;
-  std::vector<std::uint32_t> node_stamp_;
   std::vector<std::uint32_t> job_stamp_;
   std::vector<std::uint32_t> alloc_stamp_;
 };

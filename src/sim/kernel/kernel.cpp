@@ -6,20 +6,11 @@
 #include <sstream>
 
 #include "obs/telemetry/telemetry.h"
-#include "sim/kernel/shard.h"
 #include "util/check.h"
 #include "util/float_cmp.h"
 #include "util/wire.h"
 
 namespace dagsched {
-
-namespace {
-/// advance_parallel falls back to the serial loop below this many running
-/// nodes: an epoch barrier costs two rendezvous (microseconds), which only
-/// amortizes over wide intervals (see docs/PERFORMANCE.md, "sharded
-/// execution").
-constexpr std::size_t kParallelAdvanceMin = 64;
-}  // namespace
 
 SimKernel::SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
                      NodeSelector& selector, KernelOptions options)
@@ -30,20 +21,26 @@ SimKernel::SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
   DS_CHECK_MSG(options_.num_procs >= 1, "need at least one processor");
   DS_CHECK_MSG(options_.speed > 0.0, "speed must be positive");
   DS_CHECK_MSG(jobs_.sorted_by_release(), "JobSet not finalized");
-  // 0 and 1 are both the serial path (the CLI's `--shards auto` can resolve
-  // to 1 on a single-core host).
-  shard_count_ = std::max<std::size_t>(1, options_.shards);
 }
 
-SimKernel::~SimKernel() = default;
+Work EngineContext::remaining_span_of(JobId id) const {
+  DS_CHECK_MSG(clairvoyant_allowed_,
+               "semi-non-clairvoyant scheduler peeked at unfolding state");
+  const UnfoldingState& unfolding = state_->unfolding(id);
+  DS_CHECK(unfolding.engaged());
+  if (unfolding.has_block() || unfolding.complete() || faults_ == nullptr ||
+      !faults_->scales_work()) {
+    return unfolding.remaining_span();
+  }
+  // Not run yet under work overruns: the remaining works are the job's
+  // scaled initial works.
+  return unfolding.remaining_span(faults_->scaled_works(id, unfolding.dag()));
+}
 
 void SimKernel::begin(Time start_time) {
   const std::size_t n = jobs_.size();
   scheduler_.reset();
-  // Sharded runs skip the table's arena reservation: arrival blocks are
-  // adopted from the per-shard arenas (only checkpoint-restore emplacements
-  // land in the table's own arena).
-  state_.reset(jobs_, /*reserve_arena=*/shard_count_ == 1);
+  state_.reset(jobs_);
   result_ = SimResult{};
   result_.outcomes.resize(n);
 
@@ -53,6 +50,7 @@ void SimKernel::begin(Time start_time) {
   ctx_.clairvoyant_allowed_ = scheduler_.clairvoyant();
   ctx_.jobs_ = &jobs_.jobs();
   ctx_.state_ = &state_;
+  ctx_.faults_ = options_.faults;
   ctx_.obs_ = options_.obs;
 
   // Resolve instruments once; null pointers make every emission a no-op.
@@ -109,17 +107,7 @@ void SimKernel::begin(Time start_time) {
   last_exec_end_ = -1.0;
 
   next_arrival_ = 0;
-  if (deadlines_.size() != shard_count_) deadlines_.resize(shard_count_);
-  for (auto& heap : deadlines_) heap.clear();
-  // Shard workers spin up once per kernel and rendezvous per run; restart(0)
-  // kicks off run-ahead arrival prefetch for the fresh run.
-  if (shard_count_ > 1) {
-    if (shard_rt_ == nullptr) {
-      shard_rt_ = std::make_unique<ShardRuntime>(
-          jobs_, scheduler_, options_.faults, options_.speed, shard_count_);
-    }
-    shard_rt_->restart(0);
-  }
+  deadlines_.clear();
   completed_now_.clear();
   jobs_done_ = 0;
   cur_nodes_.clear();
@@ -129,8 +117,9 @@ void SimKernel::begin(Time start_time) {
   prev_nodes_.clear();
   prev_jobs_.clear();
   prev_live_ = 0;
-  // state_.reset() zeroed every stamp: starting at 1 makes the first
-  // interval's epoch 2, so no never-run node carries "epoch - 1".
+  // Job stamps start at 0 (state_.reset()) and node stamps at 0 (each block
+  // is zeroed when built): starting at 1 makes the first interval's epoch
+  // 2, so no never-run node carries "epoch - 1".
   interval_epoch_ = 1;
   preempted_jobs_.clear();
   alloc_epoch_ = 0;
@@ -211,32 +200,18 @@ void SimKernel::deliver_arrivals(Time now) {
   const std::size_t n = jobs_.size();
   const FaultInjector* faults = options_.faults;
   while (next_arrival_ < n && approx_le(jobs_[next_arrival_].release(), now)) {
-    // Admission cost = unfolding construction + bookkeeping + the
-    // scheduler's on_arrival (allocation computation, condition (2)).
+    // Admission cost = bookkeeping + the scheduler's on_arrival (allocation
+    // computation, condition (2)).  The unfolding is armed without a block:
+    // it is built at the job's first allocation (begin_interval).
     const auto telemetry_t0 = telemetry_ != nullptr
                                   ? TelemetryRecorder::Clock::now()
                                   : TelemetryRecorder::Clock::time_point{};
     const JobId id = static_cast<JobId>(next_arrival_++);
     state_.set_arrived(id);
-    if (shard_rt_ != nullptr) {
-      // Adopt the shard worker's staged build -- bit-identical to the
-      // serial branch below (scaled_works is pure, and the unfolding
-      // constructors run the same code worker-side; see shard.h).
-      state_.adopt_unfolding(id, std::move(shard_rt_->acquire(id).unfolding));
-    } else {
-      std::vector<Work> actual_works;
-      if (faults != nullptr && faults->scales_work()) {
-        actual_works = faults->scaled_works(id, jobs_[id].dag());
-      }
-      if (actual_works.empty()) {
-        state_.emplace_unfolding(id, jobs_[id].dag());
-      } else {
-        state_.emplace_unfolding(id, jobs_[id].dag(), actual_works);
-      }
-    }
+    state_.arm_unfolding(id, jobs_[id].dag(), scaled_works(id));
     state_.activate(id);
     if (jobs_[id].has_deadline()) {
-      deadlines_[shard_of(id)].emplace(jobs_[id].absolute_deadline(), id);
+      deadlines_.emplace(jobs_[id].absolute_deadline(), id);
     }
     DS_OBS_INC(c_arrivals_);
     if (obs_ != nullptr) obs_->event(now, id, ObsEventKind::kArrival);
@@ -249,39 +224,19 @@ void SimKernel::deliver_arrivals(Time now) {
                      {"actual", actual_total}});
       }
     }
-    if (shard_rt_ != nullptr) {
-      // Hand the worker-staged precompute POD to the scheduler for this one
-      // callback (nullptr when the policy opted out -- it then recomputes,
-      // identically, as on the serial path).
-      ctx_.arrival_prep_ = shard_rt_->precomputed(id);
-      scheduler_.on_arrival(ctx_, id);
-      ctx_.arrival_prep_ = nullptr;
-    } else {
-      scheduler_.on_arrival(ctx_, id);
-    }
+    scheduler_.on_arrival(ctx_, id);
     if (telemetry_ != nullptr) telemetry_->record_admission_since(telemetry_t0);
   }
 }
 
 void SimKernel::deliver_expiries(Time now, DeadlineDuePolicy policy) {
-  // K-way merge over the heap slices: every job contributes at most one
-  // (deadline, id) entry, so popping the smallest slice top each iteration
-  // -- with the same due check and completed/notified filter -- reproduces
-  // the serial single-heap pop order exactly.  shards=1 degenerates to the
-  // serial loop over deadlines_[0].
-  for (;;) {
-    DaryHeap<DeadlineEntry>* best = nullptr;
-    for (auto& heap : deadlines_) {
-      if (heap.empty()) continue;
-      if (best == nullptr || heap.top() < best->top()) best = &heap;
-    }
-    if (best == nullptr) break;
-    const auto [deadline, id] = best->top();
+  while (!deadlines_.empty()) {
+    const auto [deadline, id] = deadlines_.top();
     const bool due = policy == DeadlineDuePolicy::kBeforeNextSlot
                          ? approx_gt(now + 1.0, deadline)
                          : approx_le(deadline, now);
     if (!due) break;
-    best->pop();
+    deadlines_.pop();
     if (state_.completed(id) || state_.deadline_notified(id)) continue;
     state_.set_deadline_notified(id);
     ++expiries_delivered_;
@@ -438,10 +393,10 @@ Work SimKernel::begin_interval(Time now, const Assignment& assignment) {
   // gets at most one group and the job list needs no dedup pass.
   for (const JobAlloc& alloc : assignment.allocs) {
     const JobId job = alloc.job;
-    const UnfoldingState& unfolding = state_.unfolding(job);
+    UnfoldingState& unfolding = built_unfolding(job);
     selector_.select(jobs_[job].dag(), unfolding, alloc.procs, picked_);
     if (picked_.empty()) continue;
-    std::uint32_t* stamps = state_.node_stamps(job);
+    std::uint32_t* stamps = unfolding.node_stamps();
     for (const NodeId node : picked_) {
       // Stamped last interval == ran last interval (and, being ready again,
       // is unfinished).
@@ -485,7 +440,6 @@ void SimKernel::account_preemptions(Time now, std::size_t continuing) {
 }
 
 void SimKernel::advance_interval(Work amount, Time now, Time dt) {
-  if (advance_parallel(amount, now, dt)) return;
   const Time end = now + dt;
   double busy = result_.busy_proc_time;
   std::size_t p = 0;
@@ -524,48 +478,6 @@ void SimKernel::advance_interval(Work amount, Time now, Time dt) {
   if (churn_) last_exec_end_ = std::max(last_exec_end_, end);
 }
 
-bool SimKernel::advance_parallel(Work amount, Time now, Time dt) {
-  const std::vector<std::pair<JobId, NodeId>>& running = cur_nodes_;
-  if (shard_rt_ == nullptr || running.size() < kParallelAdvanceMin) {
-    return false;
-  }
-  adv_flags_.resize(running.size());
-  shard_rt_->run_advance(running.data(), running.size(), amount, now, state_,
-                         adv_flags_.data());
-  // Serial replay of the cross-job side effects in processor order: the
-  // exact emission order and floating-point accumulation sequence of the
-  // serial loop (every event-engine duration equals dt, so the busy-time
-  // sum is the same term sequence), then completion marking per job group.
-  const Time end = now + dt;
-  std::size_t p = 0;
-  for (std::size_t g = 0; g < cur_jobs_.size(); ++g) {
-    bool any_done = false;
-    for (const std::size_t group_end = cur_group_end_[g]; p < group_end; ++p) {
-      const auto [job, node] = running[p];
-      const std::uint8_t flag = adv_flags_[p];
-      if (c_node_starts_ != nullptr &&
-          (flag & ShardRuntime::kStarted) != 0) {
-        c_node_starts_->add(1.0);
-      }
-      if ((flag & ShardRuntime::kNodeDone) != 0) {
-        any_done = true;
-        ++interval_done_;
-        DS_OBS_INC(c_node_completions_);
-      }
-      result_.busy_proc_time += dt;
-      DS_OBS_ADD(c_busy_time_, dt);
-      const ProcCount phys = phys_proc(p);
-      if (churn_) proc_node_[phys] = {job, node};
-      if (options_.record_trace) {
-        result_.trace.add(now, end, job, node, phys);
-      }
-    }
-    if (any_done) mark_if_completed(cur_jobs_[g], end);
-  }
-  if (churn_) last_exec_end_ = std::max(last_exec_end_, end);
-  return true;
-}
-
 void SimKernel::notify_completions_slow(Time notify_time) {
   // Flags first (set in mark_if_completed), notifications second, so the
   // scheduler observes a consistent post-completion state.
@@ -584,12 +496,9 @@ void SimKernel::notify_completions_slow(Time notify_time) {
 std::size_t SimKernel::kernel_bytes() const {
   // Allocated (capacity) bytes of the kernel's bookkeeping containers --
   // the figure the million-job memory budget tracks per subsystem.  The
-  // SoA job-state columns report through the table; the unfolding arena is
-  // its own telemetry gauge.
-  std::size_t deadline_bytes = 0;
-  for (const auto& heap : deadlines_) deadline_bytes += heap.memory_bytes();
-  return state_.memory_bytes() + deadline_bytes +
-         adv_flags_.capacity() * sizeof(std::uint8_t) +
+  // SoA job-state columns report through the table; the unfolding blocks
+  // are their own telemetry gauge.
+  return state_.memory_bytes() + deadlines_.memory_bytes() +
          completed_now_.capacity() * sizeof(JobId) +
          picked_.capacity() * sizeof(NodeId) +
          (cur_nodes_.capacity() + prev_nodes_.capacity()) *
@@ -615,11 +524,7 @@ void SimKernel::emit_telemetry(Time now, bool final_snapshot) {
   sample.jobs_total = jobs_.size();
   sample.queue_depth = scheduler_.queue_depth();
   sample.kernel_bytes = kernel_bytes();
-  // Sharded runs: arrival blocks live in the per-shard arenas, restored
-  // (resume) blocks in the table's own arena -- the gauge is their sum.
-  sample.unfolding_bytes =
-      state_.unfolding_arena().high_water() +
-      (shard_rt_ != nullptr ? shard_rt_->arena_high_water() : 0);
+  sample.unfolding_bytes = state_.unfolding_bytes();
   sample.scheduler_bytes = scheduler_.memory_bytes();
   if (final_snapshot) {
     telemetry_->finish_run(sample);
@@ -645,7 +550,15 @@ void SimKernel::save_checkpoint_state(CheckpointWriter& kernel_out,
     out.f64(state_.completion_time(id));
     out.f64(state_.first_start(id));
     out.f64(state_.executed(id));
-    if (state_.arrived(id)) state_.unfolding(id).save_state(out);
+    if (!state_.arrived(id)) continue;
+    // A job without a block (never run, or completed) writes the block it
+    // stands for, from the Dag and its scaled works.
+    const UnfoldingState& unfolding = state_.unfolding(id);
+    if (unfolding.has_block()) {
+      unfolding.save_state(out);
+    } else {
+      unfolding.save_state(out, scaled_works(id));
+    }
   }
   out.u64(state_.active_slots().size());
   for (const JobId id : state_.active_slots()) out.u32(id);
@@ -689,12 +602,10 @@ void SimKernel::save_checkpoint_state(CheckpointWriter& kernel_out,
   out.f64(capacity_time_);
   out.f64(start_time_);
   out.u64(expiries_delivered_);
-  // Historical unfolding-bytes slot, now the combined arena high-water mark
+  // Historical unfolding-bytes slot, now the block pool's high-water mark
   // (advisory: the telemetry gauge is recomputed from live state after a
-  // resume, and the loader discards this value), so the wire format is
-  // independent of the saving run's shard count.
-  out.u64(state_.unfolding_arena().high_water() +
-          (shard_rt_ != nullptr ? shard_rt_->arena_high_water() : 0));
+  // resume, and the loader discards this value).
+  out.u64(state_.unfolding_bytes());
 
   scheduler_out.str(scheduler_.name());
   scheduler_.save_state(scheduler_out);
@@ -720,12 +631,7 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
     state_.completion_time(id) = in.f64();
     state_.first_start(id) = in.f64();
     state_.executed(id) = in.f64();
-    if (state_.arrived(id)) {
-      // Re-emplace from the DAG, then overwrite the per-node block;
-      // overrun-scaled works are captured in the serialized initial column.
-      state_.emplace_unfolding(id, jobs_[i].dag());
-      state_.unfolding(id).load_state(in);
-    }
+    if (state_.arrived(id)) load_unfolding(id, in);
     if (state_.completed(id)) ++completed_count;
   }
   const std::uint64_t active_count = in.count(4);
@@ -795,7 +701,8 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
   // The stamps were reset by begin(): re-stamp the previous interval with a
   // fresh epoch so the next begin_interval() sees its nodes as "ran last
   // interval", and recount the unfinished ones (account_preemptions'
-  // invariants).
+  // invariants).  A completed job's nodes are all done and never run
+  // again, so they need no stamp (and have no block to hold one).
   const std::uint32_t prev_epoch = ++interval_epoch_;
   prev_live_ = 0;
   for (auto& [job, node] : prev_nodes_) {
@@ -805,8 +712,10 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
         node >= jobs_[job].dag().num_nodes()) {
       in.fail("malformed previous-interval node entry");
     }
-    state_.node_stamps(job)[node] = prev_epoch;
-    if (!state_.unfolding(job).is_done(node)) ++prev_live_;
+    if (state_.completed(job)) continue;
+    UnfoldingState& unfolding = built_unfolding(job);
+    unfolding.node_stamps()[node] = prev_epoch;
+    if (!unfolding.is_done(node)) ++prev_live_;
   }
   const std::uint64_t prev_job_count = in.count(4);
   prev_jobs_.resize(static_cast<std::size_t>(prev_job_count));
@@ -817,28 +726,22 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
   capacity_time_ = in.f64();
   start_time_ = in.f64();
   expiries_delivered_ = static_cast<std::size_t>(in.u64());
-  // Historical unfolding-bytes slot: the gauge now reads the live arena's
-  // high-water mark, which the emplacements above already re-established.
+  // Historical unfolding-bytes slot: the gauge now reads the live pool's
+  // high-water mark, which the restored blocks above re-established.
   (void)in.u64();
   in.expect_done();
 
   // Derived structures: the deadline heap is rebuilt from runtime flags (a
   // lazily-discarded heap entry for a completed job was behaviorally inert,
   // so omitting it is exact), and the victim map / up list refresh at the
-  // next begin_interval().  The checkpoint carries no shard state at all,
-  // so a resume may use any shard count: entries land in this run's slices.
-  for (auto& heap : deadlines_) heap.clear();
+  // next begin_interval().
+  deadlines_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const JobId id = static_cast<JobId>(i);
     if (state_.arrived(id) && !state_.completed(id) &&
         !state_.deadline_notified(id) && jobs_[i].has_deadline()) {
-      deadlines_[shard_of(id)].emplace(jobs_[i].absolute_deadline(), id);
+      deadlines_.emplace(jobs_[i].absolute_deadline(), id);
     }
-  }
-  // Re-aim run-ahead prefetch at the restored arrival cursor; everything
-  // staged for the pre-restore run is discarded.
-  if (shard_rt_ != nullptr) {
-    shard_rt_->restart(static_cast<JobId>(next_arrival_));
   }
 
   const std::string saved_scheduler = scheduler_in.str();
@@ -848,6 +751,29 @@ void SimKernel::load_checkpoint_state(CheckpointReader& kernel_in,
   }
   scheduler_.load_state(scheduler_in);
   scheduler_in.expect_done();
+}
+
+void SimKernel::load_unfolding(JobId id, CheckpointReader& in) {
+  // Arm and build as a live run would, then overwrite the block with the
+  // saved state.  The block goes straight back to the pool when the job
+  // completed, or when the saved state is the pristine one (it serializes
+  // to the bytes of the block-less descriptor): a live run holds blocks
+  // only for jobs that have run, and a resumed run keeps that footprint.
+  const std::vector<Work> works = scaled_works(id);
+  state_.arm_unfolding(id, jobs_[id].dag(), works);
+  UnfoldingState& unfolding = state_.build_unfolding(id, works);
+  unfolding.load_state(in);
+  if (state_.completed(id)) {
+    if (!unfolding.complete()) in.fail("completed job has unfinished nodes");
+    state_.retire_unfolding(id);
+    return;
+  }
+  if (unfolding.nodes_remaining() != unfolding.dag().num_nodes()) return;
+  CheckpointWriter loaded;
+  unfolding.save_state(loaded);
+  CheckpointWriter pristine;
+  UnfoldingState::deferred(unfolding.dag(), works).save_state(pristine, works);
+  if (loaded.data() == pristine.data()) state_.retire_unfolding(id);
 }
 
 SimResult SimKernel::finish() {

@@ -52,7 +52,6 @@ namespace dagsched {
 
 class CheckpointReader;
 class CheckpointWriter;
-class ShardRuntime;
 class TelemetryRecorder;
 
 struct KernelOptions {
@@ -92,15 +91,6 @@ struct KernelOptions {
   /// Test hook: replaces the measured decide latency (deterministic overload
   /// tests).  Arguments: decision number (1-based), measured nanoseconds.
   std::function<std::uint64_t(std::size_t, std::uint64_t)> overload_probe;
-  /// Intra-run parallelism: partition jobs into `shards` slices, each owning
-  /// a worker thread, a deadline-heap slice, and an arena, with run-ahead
-  /// arrival prefetch and epoch-barrier node advancement
-  /// (sim/kernel/shard.h).  Decision logs are byte-identical to the serial
-  /// run at any value -- the parity script's `shards` mode proves it -- and
-  /// the dagsched.checkpoint/1 wire format is unchanged, so resumes may
-  /// switch shard counts freely.  1 (the default) and 0 are the exact serial
-  /// seed path: no threads, no barriers.
-  std::size_t shards = 1;
 };
 
 /// How an engine maps deadline instants onto its decision points.  The
@@ -119,9 +109,6 @@ class SimKernel {
   /// selector are borrowed and must outlive the kernel.
   SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
             NodeSelector& selector, KernelOptions options);
-  /// Out of line: joins the shard workers (ShardRuntime is an incomplete
-  /// type here).
-  ~SimKernel();
 
   // -- Lifecycle ------------------------------------------------------------
 
@@ -195,18 +182,12 @@ class SimKernel {
   }
 
   /// Earliest pending deadline of a still-incomplete job (kTimeInfinity if
-  /// none); lazily discards entries for completed jobs.  Each heap slice's
-  /// top is the minimum of its entries, so the minimum over slices equals
-  /// the serial single-heap top regardless of shard count.
+  /// none); lazily discards entries for completed jobs.
   Time next_deadline_time() {
-    Time best = kTimeInfinity;
-    for (auto& heap : deadlines_) {
-      while (!heap.empty() && state_.completed(heap.top().second)) {
-        heap.pop();
-      }
-      if (!heap.empty()) best = std::min(best, heap.top().first);
+    while (!deadlines_.empty() && state_.completed(deadlines_.top().second)) {
+      deadlines_.pop();
     }
-    return best;
+    return deadlines_.empty() ? kTimeInfinity : deadlines_.top().first;
   }
 
   /// Time of the next undelivered processor transition; kTimeInfinity when
@@ -233,6 +214,7 @@ class SimKernel {
   /// Builds this decision's interval from `assignment` in one pass over its
   /// allocs, shared by both engines: refreshes the physical-processor view
   /// under churn (the up-processor list, a cleared failure-victim map),
+  /// builds the unfolding block of each job allocated for the first time,
   /// calls the selector once per alloc in alloc order, appends the (job,
   /// node) entries and one group per job that runs a node, stamps the job
   /// and node epochs, and accounts preemptions against the previous
@@ -302,9 +284,7 @@ class SimKernel {
   /// entry is loaded once, `executed` and busy time accumulate in locals in
   /// processor order (bit-identical to per-node updates), `first_start`
   /// takes one min per job -- and marks each job whose unfolding finished
-  /// as completed at now+dt.  Wide intervals on a sharded run go through
-  /// the shard workers instead (advance_parallel), with the same counters
-  /// and completion marking.
+  /// as completed at now+dt.
   void advance_interval(Work amount, Time now, Time dt);
 
   /// Accounts `dt` of wall-clock machine time at the current capacity
@@ -332,12 +312,14 @@ class SimKernel {
   // -- Completion epoch -----------------------------------------------------
 
   /// Marks `job` completed at `completion_time` if its unfolding just
-  /// finished; notification is deferred to notify_completions().  Engines
-  /// call it only for jobs with a node that completed this interval.
+  /// finished, returning its block to the pool; notification is deferred to
+  /// notify_completions().  Engines call it only for jobs with a node that
+  /// completed this interval, after the job's last node advance.
   void mark_if_completed(JobId job, Time completion_time) {
     if (!state_.completed(job) && state_.unfolding(job).complete()) {
       state_.set_completed(job);
       state_.completion_time(job) = completion_time;
+      state_.retire_unfolding(job);
       completed_now_.push_back(job);
     }
   }
@@ -356,13 +338,8 @@ class SimKernel {
            approx_le(transitions[next_transition_].time, now);
   }
   bool expiry_due(Time now, DeadlineDuePolicy policy) const {
-    // Minimum over slice tops == global minimum entry, exactly the serial
-    // single-heap top (see next_deadline_time).
-    Time deadline = kTimeInfinity;
-    for (const auto& heap : deadlines_) {
-      if (!heap.empty()) deadline = std::min(deadline, heap.top().first);
-    }
-    if (deadline == kTimeInfinity) return false;
+    if (deadlines_.empty()) return false;
+    const Time deadline = deadlines_.top().first;
     return policy == DeadlineDuePolicy::kBeforeNextSlot
                ? approx_gt(now + 1.0, deadline)
                : approx_le(deadline, now);
@@ -385,19 +362,22 @@ class SimKernel {
   /// Job preemptions keep a scan of the (short) previous job list, which
   /// also yields the kPreempt events in ascending job id.
   void account_preemptions(Time now, std::size_t continuing);
-  /// Sharded fast path of advance_interval: advances every entry of the
-  /// interval by `amount` work over [now, now+dt) across the shard workers
-  /// (entry i on shard running[i].first % K, so per-job state has a single
-  /// writer), then replays the global side effects -- counters, busy time,
-  /// the trace, the failure-victim map, completion marking -- serially in
-  /// processor order from the per-entry flag bytes.  Byte-identical to the
-  /// serial loop: per-job floating-point sequences are preserved (same-job
-  /// entries share a shard and run in global entry order) and every
-  /// event-engine duration equals dt, so the serially-replayed busy-time
-  /// accumulation matches term for term.  Returns false (the caller runs
-  /// the serial loop) when sharding is off or the interval is too small to
-  /// amortize a barrier.
-  bool advance_parallel(Work amount, Time now, Time dt);
+  /// Checkpoint restore of one arrived job's unfolding (see kernel.cpp).
+  void load_unfolding(JobId id, CheckpointReader& in);
+  /// `job`'s unfolding with its block built (at its first allocation).
+  UnfoldingState& built_unfolding(JobId job) {
+    UnfoldingState& unfolding = state_.unfolding(job);
+    if (unfolding.has_block()) [[likely]] return unfolding;
+    return state_.build_unfolding(job, scaled_works(job));
+  }
+  /// `job`'s fault-scaled node works; empty (no allocation) when its works
+  /// are the Dag's.  A pure function of (plan, job), so arrival, the first
+  /// allocation and a checkpoint agree.
+  std::vector<Work> scaled_works(JobId job) const {
+    const FaultInjector* faults = options_.faults;
+    if (faults == nullptr || !faults->scales_work()) return {};
+    return faults->scaled_works(job, jobs_[job].dag());
+  }
   /// Applies the decision-latency budget to one decide() measurement:
   /// breach -> shed + overload events, first under-budget decision after a
   /// breach -> recovery event.  Only called with decide_budget_ns > 0.
@@ -417,8 +397,8 @@ class SimKernel {
   KernelOptions options_;
 
   /// All per-job runtime state, structure-of-arrays: lifecycle flags,
-  /// completion/first-start/executed columns, arena-backed unfoldings, the
-  /// tombstoned active set, and the epoch-stamp arrays (job_state.h).
+  /// completion/first-start/executed columns, pooled unfoldings, the
+  /// tombstoned active set, and the job epoch-stamp arrays (job_state.h).
   JobStateTable state_;
   EngineContext ctx_;
   SimResult result_;
@@ -451,8 +431,8 @@ class SimKernel {
 
   // Runtime telemetry (null = off, the seed code path).  expiries_delivered_
   // is a plain member update with no observable side effects on the decision
-  // log; the unfolding_bytes gauge reads the job-state arena's high-water
-  // mark directly, so nothing accumulates on the hot path.
+  // log; the unfolding_bytes gauge reads the block pool's high-water mark
+  // directly, so nothing accumulates on the hot path.
   TelemetryRecorder* telemetry_ = nullptr;
   std::size_t expiries_delivered_ = 0;
 
@@ -469,34 +449,18 @@ class SimKernel {
   Time last_exec_end_ = -1.0;
 
   // Arrival / deadline / completion queues.  Deadlines live in one compact
-  // 4-ary heap of (time, job) entries per shard (a single heap when
-  // shards=1): job id % shard_count_ picks the slice, and since each job
-  // contributes at most one entry, popping the smallest (time, id) slice
-  // top each iteration yields exactly the serial single-heap pop order --
-  // the arity and the sharding are both invisible to decision logs.
+  // 4-ary heap of (time, job) entries; the arity is invisible to decision
+  // logs.
   std::size_t next_arrival_ = 0;
   using DeadlineEntry = std::pair<Time, JobId>;
-  std::vector<DaryHeap<DeadlineEntry>> deadlines_;
+  DaryHeap<DeadlineEntry> deadlines_;
   std::vector<JobId> completed_now_;
   std::size_t jobs_done_ = 0;
 
-  // Intra-run sharding (KernelOptions::shards > 1): the worker runtime, the
-  // resolved shard count, and the per-entry flag bytes advance_parallel
-  // replays from.  shard_rt_ is declared after state_ on purpose: it is
-  // destroyed first, so the workers are joined while everything they can
-  // reference (the table, the job set, the scheduler) is still alive.  The
-  // table's adopted unfolding descriptors survive their shard arenas --
-  // UnfoldingState's destructor never dereferences arena memory.
-  std::size_t shard_count_ = 1;
-  std::unique_ptr<ShardRuntime> shard_rt_;
-  std::vector<std::uint8_t> adv_flags_;
-  std::size_t shard_of(JobId id) const {
-    return static_cast<std::size_t>(id) % shard_count_;
-  }
-
   // This interval's execution set (built by begin_interval) and the
   // previous one, for preemption accounting.  Membership tests use the
-  // table's epoch-stamp columns so each decision costs O(running) with no
+  // epoch stamps (per node in the unfolding block, per job in the table) so
+  // each decision costs O(running) with no
   // sorting; the seed sorted + binary-searched both sets per decision,
   // which dominated the event engine's hot loop at 10^5 jobs.  All of it is
   // member scratch: capacity survives across runs (zero-allocation

@@ -83,19 +83,14 @@ class SchedulerBase {
   /// incomplete, no duplicate jobs, procs >= 1 per entry.
   virtual void decide(const EngineContext& ctx, Assignment& out) = 0;
 
-  // ---- Sharded arrival precompute (sim/kernel/shard.h) --------------------
-  // On sharded runs (KernelOptions::shards > 1) worker threads pre-build
-  // per-arrival state ahead of delivery.  A policy whose on_arrival() does
-  // job-local math that depends only on the immutable Job and the machine
-  // speed can stage that math on the workers: return the POD size from
-  // arrival_precompute_size() and fill it in precompute_arrival().  The
-  // kernel hands the bytes back through ctx.arrival_prep() inside
-  // on_arrival().  Contract: precompute_arrival must be const, thread-safe
-  // (called concurrently from several workers, possibly concurrently with
-  // on_arrival/decide on the main thread -- touch no mutable members), and
-  // bit-identical to the delivery-time computation, since decision-log
-  // parity across shard counts depends on it.  It must not consult an
-  // EngineContext: anything m- or state-dependent stays in on_arrival.
+  // ---- Per-arrival precompute hook ----------------------------------------
+  // A policy may describe job-local arrival math that depends only on the
+  // immutable Job and the machine speed, so an engine could stage it ahead
+  // of delivery: the POD size from arrival_precompute_size(), filled by
+  // precompute_arrival() (const and thread-safe; it must not consult an
+  // EngineContext).  No in-tree engine stages it -- arrivals are delivered
+  // on one thread -- so the defaults opt out; forwarding wrappers keep
+  // forwarding both.
 
   /// Bytes of per-arrival precompute this policy wants staged (0 = opt out).
   virtual std::size_t arrival_precompute_size() const { return 0; }

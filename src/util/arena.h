@@ -11,6 +11,11 @@
 //    into a single chunk large enough for the working set, reuse is
 //    allocation-free.
 //
+//  - BlockPool: variable-size blocks recycled through size-class free
+//    lists, carved from a BumpArena (per-job unfolding blocks, which live
+//    from a job's first allocation to its completion).  reset() rewinds the
+//    arena, so a same-shaped rerun carves from one coalesced chunk.
+//
 //  - NodePool + PoolAllocator<T>: a fixed-size-node pool with an intrusive
 //    free list, rebindable as a std::allocator replacement so node-based
 //    containers (std::set in DensityOrderedQueue / ListScheduler) recycle
@@ -19,6 +24,8 @@
 // Neither allocator is thread-safe; each simulation run owns its arenas.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -81,8 +88,8 @@ class BumpArena {
   /// Pre-sizes the arena so a working set of `bytes` fits in one chunk.
   /// Only valid while the arena is empty (nothing allocated since reset).
   /// Does not touch the high-water mark: that keeps tracking what was
-  /// actually allocated (it is the telemetry unfolding_bytes gauge), not
-  /// the caller's estimate.
+  /// actually allocated (reset() sizes its coalesced chunk by it), not the
+  /// caller's estimate.
   void reserve(std::size_t bytes) {
     DS_CHECK(total_used_ == 0);
     if (capacity() < bytes) {
@@ -121,6 +128,67 @@ class BumpArena {
   std::size_t retired_ = 0;      // bytes used in all earlier chunks
   std::size_t total_used_ = 0;
   std::size_t high_water_ = 0;
+};
+
+/// Size-class block pool.  acquire(bytes) returns a block of
+/// class_bytes(bytes) bytes (8-byte aligned): the head of that class's
+/// intrusive free list, or a fresh carve from the arena.  release() pushes a
+/// block back onto its class list; the caller passes the same `bytes` it
+/// acquired with.  Classes are multiples of 16 up to 128 bytes, then eight
+/// per power of two, so a block wastes under an eighth of its bytes.
+/// Blocks never return to the arena, so carved_bytes() -- the bytes carved
+/// since reset() -- is this pool's high-water mark: the per-class peak of
+/// blocks held at once, summed over the classes.
+class BlockPool {
+ public:
+  static std::size_t class_bytes(std::size_t bytes) {
+    return class_size(class_index(bytes));
+  }
+
+  void* acquire(std::size_t bytes) {
+    const std::size_t c = class_index(bytes);
+    if (c >= free_.size()) free_.resize(c + 1, nullptr);
+    if (void* p = free_[c]; p != nullptr) {
+      free_[c] = *static_cast<void**>(p);
+      return p;
+    }
+    return arena_.allocate(class_size(c), kAlign);
+  }
+
+  void release(void* p, std::size_t bytes) {
+    const std::size_t c = class_index(bytes);
+    DS_CHECK(c < free_.size());
+    *static_cast<void**>(p) = free_[c];
+    free_[c] = p;
+  }
+
+  /// Forgets every block (live or free) and rewinds the arena.
+  void reset() {
+    arena_.reset();
+    std::fill(free_.begin(), free_.end(), nullptr);
+  }
+
+  std::size_t carved_bytes() const { return arena_.used(); }
+
+ private:
+  // Class c <= 8 holds 16c bytes; above 128 bytes, class 9 + 8(k - 8) + j
+  // holds (9 + j) * 2^(k-4) bytes for 2^(k-1) < bytes <= 2^k, j in [0, 8).
+  static std::size_t class_index(std::size_t bytes) {
+    if (bytes <= 128) return (std::max<std::size_t>(bytes, 16) + 15) / 16;
+    const auto k = static_cast<std::size_t>(std::bit_width(bytes - 1));
+    const std::size_t step = std::size_t{1} << (k - 4);
+    return 9 + 8 * (k - 8) + ((bytes + step - 1) / step - 9);
+  }
+  static std::size_t class_size(std::size_t c) {
+    if (c <= 8) return 16 * c;
+    const std::size_t k = 8 + (c - 9) / 8;
+    return (9 + (c - 9) % 8) << (k - 4);
+  }
+
+  static constexpr std::size_t kAlign = 8;
+
+  BumpArena arena_;
+  std::vector<void*> free_;  // per class: head of an intrusive list
 };
 
 /// Fixed-node-size pool with an intrusive free list.  The node size is

@@ -1,6 +1,8 @@
 #include "util/wire.h"
 
 #include <array>
+#include <istream>
+#include <vector>
 
 namespace dagsched {
 
@@ -127,6 +129,18 @@ std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) {
   for (const char byte : data) {
     hash ^= static_cast<unsigned char>(byte);
     hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::uint64_t fnv1a64_stream(std::istream& in, std::size_t block_bytes) {
+  std::vector<char> block(block_bytes);
+  std::uint64_t hash = fnv1a64({});
+  while (in) {
+    in.read(block.data(), static_cast<std::streamsize>(block.size()));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (got == 0) break;
+    hash = fnv1a64({block.data(), got}, hash);
   }
   return hash;
 }

@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -108,5 +109,10 @@ std::uint32_t crc32(std::string_view data);
 /// checkpoint header.  `seed` chains multi-part hashes.
 std::uint64_t fnv1a64(std::string_view data,
                       std::uint64_t seed = 14695981039346656037ull);
+
+/// fnv1a64 over everything `in` yields, read through one `block_bytes`
+/// buffer and chained block by block: the same value as fnv1a64 over the
+/// concatenated bytes, without holding them all.
+std::uint64_t fnv1a64_stream(std::istream& in, std::size_t block_bytes);
 
 }  // namespace dagsched

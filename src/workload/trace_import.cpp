@@ -1,5 +1,6 @@
 #include "workload/trace_import.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -39,13 +40,22 @@ double parse_number(const std::string& source, std::size_t line,
   return value;
 }
 
+/// Chain length synthesize_dag uses for `span`, and the node count of the
+/// whole DAG (computed in doubles, so hostile magnitudes cannot overflow).
+double chain_length(Work span, double granularity) {
+  return std::max(1.0, std::ceil(span / granularity));
+}
+double synthesized_nodes(Work work, Work span, double granularity) {
+  const double chain = chain_length(span, granularity);
+  return chain + std::ceil((work - span) / (span / chain));
+}
+
 /// A Figure-1-style DAG with total work ~W and span ~L (exact up to node
 /// rounding): a chain realizing the span beside an independent block.
 std::shared_ptr<const Dag> synthesize_dag(Work work, Work span,
                                           double granularity) {
   const auto chain_nodes =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   std::ceil(span / granularity)));
+      static_cast<std::size_t>(chain_length(span, granularity));
   const double node = span / static_cast<double>(chain_nodes);
   DagBuilder b;
   b.add_chain(chain_nodes, node);
@@ -126,6 +136,13 @@ JobSet import_trace_csv(std::istream& is, const TraceImportOptions& options,
     }
     if (!(profit > 0.0)) {
       throw ParseError(source, lineno, cells[4].column, "non-positive profit");
+    }
+    if (synthesized_nodes(work, span, options.granularity) >
+        static_cast<double>(kMaxTraceJobNodes)) {
+      throw ParseError(source, lineno, cells[1].column,
+                       "work " + cells[1].text + " and span " + cells[2].text +
+                           " synthesize more than " +
+                           std::to_string(kMaxTraceJobNodes) + " nodes");
     }
     jobs.add(Job::with_deadline(
         synthesize_dag(work, span, options.granularity), release, deadline,

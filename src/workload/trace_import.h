@@ -13,12 +13,19 @@
 // results on imported traces are conservative for the paper's algorithms.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
 #include "job/job.h"
 
 namespace dagsched {
+
+/// Largest DAG one row may synthesize.  A row whose (work, span) at the
+/// import granularity needs more nodes is a ParseError, not a giant (or,
+/// once floating-point subtraction stops shrinking the remainder, endless)
+/// build.
+inline constexpr std::size_t kMaxTraceJobNodes = std::size_t{1} << 20;
 
 struct TraceImportOptions {
   /// Approximate node size for the synthesized DAGs; each job uses
@@ -29,8 +36,9 @@ struct TraceImportOptions {
 /// Parses the CSV; throws ParseError (util/parse_error.h, a
 /// std::runtime_error) with "source:line:column" positioning on malformed
 /// input (bad header, non-numeric or non-finite fields, span > work,
-/// non-positive values).  CRLF line endings and trailing blank lines are
-/// tolerated.  `source` names the input in diagnostics.
+/// non-positive values, more than kMaxTraceJobNodes synthesized nodes).
+/// CRLF line endings and trailing blank lines are tolerated.  `source`
+/// names the input in diagnostics.
 JobSet import_trace_csv(std::istream& is,
                         const TraceImportOptions& options = {},
                         const std::string& source = "<stream>");

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -24,8 +25,10 @@
 #include "sim/checkpoint/checkpoint.h"
 #include "sim/kernel/engine_factory.h"
 #include "sim/kernel/kernel.h"
+#include "util/rng.h"
 #include "util/wire.h"
 #include "workload/scenarios.h"
+#include "workload/workload_io.h"
 
 namespace dagsched {
 namespace {
@@ -219,6 +222,33 @@ TEST(CheckpointFormat, ResumeCompatibilityDiagnostics) {
   meta = current;
   meta.config_hash ^= 1;
   expect_mismatch(meta, "config");
+}
+
+TEST(CheckpointFormat, WorkloadHashStreamsInBlocks) {
+  // The CLI hashes the workload file block by block instead of copying it
+  // whole; the chained hash must equal the one over the slurped bytes.
+  std::string bytes(2 * kWorkloadBlockBytes + 12345, '\0');
+  Rng rng(7);
+  for (char& c : bytes) c = static_cast<char>(rng.uniform_int(0, 255));
+  const std::string path = ::testing::TempDir() + "fingerprint_blocks.wl";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::uint64_t streamed = fnv1a64_stream(in, kWorkloadBlockBytes);
+  std::remove(path.c_str());
+  EXPECT_EQ(streamed, fnv1a64(bytes));
+  EXPECT_EQ(run_config_fingerprint(streamed, "s", 0.5, 4, 1.0, "event",
+                                   "fifo", ""),
+            run_config_fingerprint(bytes, "s", 0.5, 4, 1.0, "event", "fifo",
+                                   ""));
+  for (const std::size_t block : {std::size_t{1}, std::size_t{7}}) {
+    std::istringstream small(bytes.substr(0, 1000));
+    EXPECT_EQ(fnv1a64_stream(small, block), fnv1a64(bytes.substr(0, 1000)));
+  }
+  std::istringstream empty;
+  EXPECT_EQ(fnv1a64_stream(empty, kWorkloadBlockBytes), fnv1a64(""));
 }
 
 TEST(CheckpointFormat, FingerprintCoversEveryInput) {

@@ -114,5 +114,36 @@ TEST(CrashDump, StreamedEmitMatchesWriteJsonlBytes) {
   EXPECT_EQ(live.str(), at_end.str());
 }
 
+TEST(StreamedEventLogDeathTest, KeepsOnlyTheCountAndTheLastTime) {
+  std::ostringstream live;
+  EventLog log;
+  log.emit(0.5, 0, ObsEventKind::kArrival);  // kept: no stream yet
+  log.stream_to(&live);
+  for (int i = 1; i <= 3; ++i) {
+    log.emit(static_cast<Time>(i), static_cast<JobId>(i),
+             ObsEventKind::kAdmit, "window-fits", {{"v", 1.5}});
+  }
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_FALSE(log.empty());
+  EXPECT_TRUE(log.streamed());
+  EXPECT_EQ(log.last_time(), 3.0);
+  std::istringstream in(live.str());
+  const auto streamed = EventLog::parse_jsonl(in);
+  ASSERT_TRUE(streamed.has_value());
+  ASSERT_EQ(streamed->size(), 3u);
+  EXPECT_EQ(streamed->back().time, 3.0);
+  // The streamed events were not kept, so there is nothing to hand out.
+  EXPECT_DEATH((void)log.events(), "streamed log");
+  log.stream_to(nullptr);
+  log.emit(4.0, 4, ObsEventKind::kComplete);
+  EXPECT_EQ(log.size(), 5u);
+  EXPECT_EQ(log.last_time(), 4.0);
+  log.clear();
+  EXPECT_TRUE(log.empty());
+  EXPECT_FALSE(log.streamed());
+  EXPECT_EQ(log.last_time(), 0.0);
+  EXPECT_TRUE(log.events().empty());
+}
+
 }  // namespace
 }  // namespace dagsched

@@ -101,20 +101,49 @@ TEST(JobStateTable, ResetReusesArenaCapacity) {
   JobStateTable state;
   state.reset(jobs);
   for (JobId id = 0; id < n; ++id) {
-    state.emplace_unfolding(id, jobs[id].dag());
+    state.arm_unfolding(id, jobs[id].dag(), {});
+    state.build_unfolding(id, {});
   }
-  const std::size_t high = state.unfolding_arena().high_water();
-  EXPECT_GT(high, 0u);
+  const std::size_t high = state.unfolding_bytes();
+  EXPECT_EQ(high, n * BlockPool::class_bytes(UnfoldingState::block_bytes(
+                          8, /*scaled=*/false)));
 
   state.reset(jobs);
-  EXPECT_EQ(state.unfolding_arena().used(), 0u);
-  const std::size_t capacity = state.unfolding_arena().capacity();
   for (JobId id = 0; id < n; ++id) {
-    state.emplace_unfolding(id, jobs[id].dag());
+    state.arm_unfolding(id, jobs[id].dag(), {});
+    state.build_unfolding(id, {});
   }
-  // Same working set: the coalesced arena chunk absorbs it with no growth.
-  EXPECT_EQ(state.unfolding_arena().capacity(), capacity);
-  EXPECT_EQ(state.unfolding_arena().high_water(), high);
+  // Same working set: the coalesced pool chunk absorbs it with no growth.
+  EXPECT_EQ(state.unfolding_bytes(), high);
+}
+
+TEST(JobStateTable, RetiredBlocksAreReusedNotCarvedAgain) {
+  // Jobs built and retired one after another hold one block at a time:
+  // the pool carves a single block and recycles it through its free list.
+  const std::size_t n = 32;
+  auto dag = std::make_shared<const Dag>(make_chain(5, 1.0));
+  JobSet jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    jobs.add(Job::with_deadline(dag, 0.0, 100.0, 1.0));
+  }
+  jobs.finalize();
+
+  JobStateTable state;
+  state.reset(jobs);
+  for (JobId id = 0; id < n; ++id) {
+    state.arm_unfolding(id, jobs[id].dag(), {});
+    UnfoldingState& unfolding = state.build_unfolding(id, {});
+    ASSERT_TRUE(unfolding.has_block());
+    while (!unfolding.complete()) {
+      unfolding.advance(unfolding.ready()[0], 1.0);
+    }
+    state.retire_unfolding(id);
+    EXPECT_FALSE(unfolding.has_block());
+    EXPECT_TRUE(unfolding.is_done(0));
+    EXPECT_EQ(unfolding.total_remaining_work(), 0.0);
+  }
+  EXPECT_EQ(state.unfolding_bytes(),
+            BlockPool::class_bytes(UnfoldingState::block_bytes(5, false)));
 }
 
 }  // namespace

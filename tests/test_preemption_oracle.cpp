@@ -15,13 +15,14 @@
 // selectors x {no faults, churn-resume, churn-zero}, the recorded run must
 // match the reference and be identical (SimResult incl. per-job outcomes,
 // byte-identical JSONL) to an unwrapped run.  A mid-run checkpoint/resume
-// case covers the restored previous interval, and a wide sharded case
-// (m=128) covers the parallel advance's completion marking.
+// case covers the restored previous interval, and a wide case (m=128)
+// covers intervals with many nodes per job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -73,6 +74,9 @@ class RecordingSelector final : public NodeSelector {
     ASSERT_LT(cursor_, alloc_jobs_.size());
     const JobId job = alloc_jobs_[cursor_++];
     unfoldings_.resize(std::max<std::size_t>(unfoldings_.size(), job + 1));
+    if (unfoldings_[job] == nullptr && on_first_select) {
+      on_first_select(job, state);
+    }
     unfoldings_[job] = &state;
     if (out.empty()) return;
     Interval& interval = intervals_.back();
@@ -109,6 +113,17 @@ class RecordingSelector final : public NodeSelector {
   }
 
   const std::vector<Interval>& intervals() const { return intervals_; }
+
+  /// The unfolding the kernel handed select() for `job`, or null if the job
+  /// was never allocated (the descriptor outlives its block: the kernel's
+  /// job-state column is not reallocated during a run).
+  const UnfoldingState* selected_unfolding(JobId job) const {
+    return job < unfoldings_.size() ? unfoldings_[job] : nullptr;
+  }
+
+  /// Called at a job's first select(), right after the kernel built its
+  /// block.
+  std::function<void(JobId, const UnfoldingState&)> on_first_select;
 
  private:
   NodeSelector& inner_;
@@ -199,10 +214,12 @@ std::optional<FaultInjector> make_faults(const std::string& mode,
                                          const Instance& instance) {
   std::optional<FaultInjector> injector;
   if (mode == "none") return injector;
+  const std::string seed = std::to_string(instance.fault_seed);
   const std::string spec =
-      "mtbf=12,mttr=4,horizon=60,integral=1,min-procs=1,seed=" +
-      std::to_string(instance.fault_seed) + ",restart=" +
-      (mode == "churn-zero" ? "zero" : "resume");
+      mode == "overrun"
+          ? "overrun-prob=0.5,overrun-factor=2,seed=" + seed
+          : "mtbf=12,mttr=4,horizon=60,integral=1,min-procs=1,seed=" + seed +
+                ",restart=" + (mode == "churn-zero" ? "zero" : "resume");
   std::string error;
   const auto config = parse_fault_spec(spec, &error);
   EXPECT_TRUE(config.has_value()) << error;
@@ -219,9 +236,52 @@ struct RunSetup {
   EngineKind engine = EngineKind::kEvent;
   SelectorKind selector = SelectorKind::kFifo;
   std::string fault_mode = "none";
-  std::size_t shards = 1;
   CheckpointSink* checkpoint = nullptr;
   const CheckpointFile* resume = nullptr;
+  /// Extra decision observer, called after the recorder's.
+  std::function<void(const EngineContext&, const Assignment&)> probe;
+  /// Installed as the recorder's on_first_select.
+  std::function<void(JobId, const UnfoldingState&)> on_first_select;
+  /// Wrap the scheduler so the probe may read clairvoyant accessors.
+  bool clairvoyant_probe = false;
+};
+
+/// Forwards every call to a scheduler but declares itself clairvoyant, so a
+/// decision observer may read EngineContext::remaining_span_of for any job.
+/// The kernel reads clairvoyant() for that gate only, so the run is
+/// unchanged.
+class ClairvoyantProbe final : public SchedulerBase {
+ public:
+  explicit ClairvoyantProbe(SchedulerBase& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  bool clairvoyant() const override { return true; }
+  void reset() override { inner_.reset(); }
+  void on_arrival(const EngineContext& ctx, JobId job) override {
+    inner_.on_arrival(ctx, job);
+  }
+  void on_completion(const EngineContext& ctx, JobId job) override {
+    inner_.on_completion(ctx, job);
+  }
+  void on_deadline(const EngineContext& ctx, JobId job) override {
+    inner_.on_deadline(ctx, job);
+  }
+  void on_capacity_change(const EngineContext& ctx, ProcCount old_m,
+                          ProcCount new_m) override {
+    inner_.on_capacity_change(ctx, old_m, new_m);
+  }
+  Time next_wakeup(const EngineContext& ctx) const override {
+    return inner_.next_wakeup(ctx);
+  }
+  void decide(const EngineContext& ctx, Assignment& out) override {
+    inner_.decide(ctx, out);
+  }
+  std::size_t shed_load(const EngineContext& ctx,
+                        std::size_t max_jobs) override {
+    return inner_.shed_load(ctx, max_jobs);
+  }
+
+ private:
+  SchedulerBase& inner_;
 };
 
 /// One run; with `recorder` set, the selector is wrapped and the decision
@@ -229,6 +289,9 @@ struct RunSetup {
 void run(const Instance& instance, const RunSetup& setup, RunOutput& out,
          std::unique_ptr<RecordingSelector>* recorder = nullptr) {
   auto scheduler = make_named_scheduler(instance.scheduler, 0.5);
+  std::optional<ClairvoyantProbe> probe;
+  SchedulerBase* policy = scheduler.get();
+  if (setup.clairvoyant_probe) policy = &probe.emplace(*scheduler);
   auto selector = make_selector(setup.selector, instance.fault_seed);
   NodeSelector* active = selector.get();
   SimOptions options;
@@ -236,9 +299,12 @@ void run(const Instance& instance, const RunSetup& setup, RunOutput& out,
     *recorder = std::make_unique<RecordingSelector>(*selector);
     active = recorder->get();
     RecordingSelector* rec = recorder->get();
-    options.observer = [rec](const EngineContext& ctx,
-                             const Assignment& assignment) {
+    rec->on_first_select = setup.on_first_select;
+    options.observer = [rec, extra = setup.probe](
+                           const EngineContext& ctx,
+                           const Assignment& assignment) {
       rec->on_decision(ctx, assignment);
+      if (extra) extra(ctx, assignment);
     };
   }
   std::optional<FaultInjector> faults = make_faults(setup.fault_mode, instance);
@@ -249,9 +315,8 @@ void run(const Instance& instance, const RunSetup& setup, RunOutput& out,
   options.faults = faults ? &*faults : nullptr;
   options.checkpoint = setup.checkpoint;
   options.resume = setup.resume;
-  options.shards = setup.shards;
   out.result =
-      run_simulation(setup.engine, instance.jobs, *scheduler, *active, options);
+      run_simulation(setup.engine, instance.jobs, *policy, *active, options);
 }
 
 std::string jsonl(const EventLog& log) {
@@ -431,9 +496,8 @@ INSTANTIATE_TEST_SUITE_P(
     combo_name);
 
 // Wide intervals: at m=128 an event-engine interval runs >= 64 (job, node)
-// entries, so a sharded run advances them on the shard workers and marks
-// completions from the replayed flags (SimKernel::advance_parallel).
-TEST(PreemptionOracleWide, ShardedAdvanceMatchesReferenceAndSerial) {
+// entries, many of them several nodes of one job group.
+TEST(PreemptionOracleWide, WideAdvanceMatchesReference) {
   Rng rng(33);
   WorkloadConfig config = scenario_shootout(1.3, 128, 0.3, 1.2);
   config.horizon = 30.0;
@@ -448,22 +512,167 @@ TEST(PreemptionOracleWide, ShardedAdvanceMatchesReferenceAndSerial) {
   std::unique_ptr<RecordingSelector> recorder;
   run(instance, setup, serial, &recorder);
   ASSERT_GT(serial.result.busy_proc_time / serial.result.end_time, 64.0)
-      << "workload too narrow to reach the parallel advance path";
+      << "workload too narrow to reach wide intervals";
   ASSERT_GT(serial.result.jobs_completed, 0u);
   expect_matches_reference(instance, setup, serial, *recorder);
-
-  for (const std::size_t shards : {2u, 4u}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    RunSetup sharded = setup;
-    sharded.shards = shards;
-    RunOutput got;
-    std::unique_ptr<RecordingSelector> sharded_recorder;
-    run(instance, sharded, got, &sharded_recorder);
-    expect_same_result(serial.result, got.result);
-    EXPECT_EQ(jsonl(got.log), jsonl(serial.log));
-    expect_matches_reference(instance, sharded, got, *sharded_recorder);
-  }
 }
+
+// ---- Shadow unfolding --------------------------------------------------------
+//
+// The kernel builds a job's per-node block at its first allocation and
+// returns it at completion; before and after, JobView and the clairvoyant
+// remaining span answer from the Dag and scalar columns.  Each such answer
+// is checked against an eagerly built, heap-owned UnfoldingState -- the
+// state every arrived job had when blocks were built at arrival:
+//   * arrived, never allocated: a fresh one (with the fault plan's scaled
+//     works);
+//   * allocated: the block itself, which at its first select() must equal
+//     the fresh one node by node;
+//   * completed: a fresh one run to completion.
+
+/// Eager witnesses per job, built on first use.
+class EagerShadow {
+ public:
+  EagerShadow(const JobSet& jobs, const FaultInjector* faults)
+      : jobs_(jobs), faults_(faults), fresh_(jobs.size()) {}
+
+  const UnfoldingState& fresh(JobId job) {
+    if (fresh_[job] == nullptr) fresh_[job] = build(job);
+    return *fresh_[job];
+  }
+
+  std::unique_ptr<UnfoldingState> finished(JobId job) {
+    std::unique_ptr<UnfoldingState> state = build(job);
+    while (!state->complete()) {
+      const NodeId node = state->ready()[0];
+      state->advance(node, state->remaining_work(node));
+    }
+    return state;
+  }
+
+  /// The JobView reads and the clairvoyant span of every job at a decision.
+  void check(const EngineContext& ctx, const RecordingSelector& recorder) {
+    if (::testing::Test::HasFailure()) return;  // one report, not thousands
+    for (JobId id = 0; id < jobs_.size(); ++id) {
+      const JobView view = ctx.view(id);
+      if (!view.arrived()) {
+        EXPECT_EQ(view.ready_count(), 0u) << "job " << id;
+        EXPECT_EQ(view.remaining_work(), jobs_[id].work()) << "job " << id;
+        continue;
+      }
+      std::unique_ptr<UnfoldingState> done;
+      const UnfoldingState* want = recorder.selected_unfolding(id);
+      if (view.completed()) {
+        done = finished(id);
+        want = done.get();
+      } else if (want == nullptr) {
+        want = &fresh(id);
+      }
+      EXPECT_EQ(view.ready_count(), view.completed() ? 0 : want->ready_count())
+          << "job " << id << " at t=" << ctx.now();
+      EXPECT_EQ(view.remaining_work(), want->total_remaining_work())
+          << "job " << id << " at t=" << ctx.now();
+      EXPECT_EQ(ctx.remaining_span_of(id), want->remaining_span())
+          << "job " << id << " at t=" << ctx.now();
+    }
+  }
+
+  /// The block the kernel just built against a fresh eager state.
+  void check_built(JobId job, const UnfoldingState& built) {
+    const UnfoldingState& want = fresh(job);
+    ASSERT_TRUE(built.has_block());
+    ASSERT_TRUE(std::equal(built.ready().begin(), built.ready().end(),
+                           want.ready().begin(), want.ready().end()))
+        << "job " << job;
+    EXPECT_EQ(built.nodes_remaining(), want.nodes_remaining());
+    EXPECT_EQ(built.total_remaining_work(), want.total_remaining_work());
+    EXPECT_EQ(built.remaining_span(), want.remaining_span());
+    for (NodeId v = 0; v < want.dag().num_nodes(); ++v) {
+      EXPECT_EQ(built.remaining_work(v), want.remaining_work(v)) << v;
+      EXPECT_EQ(built.initial_work(v), want.initial_work(v)) << v;
+      EXPECT_EQ(built.is_ready(v), want.is_ready(v)) << v;
+    }
+  }
+
+ private:
+  std::unique_ptr<UnfoldingState> build(JobId job) const {
+    const Dag& dag = jobs_[job].dag();
+    const std::vector<Work> works =
+        faults_ != nullptr ? faults_->scaled_works(job, dag)
+                           : std::vector<Work>{};
+    return works.empty() ? std::make_unique<UnfoldingState>(dag)
+                         : std::make_unique<UnfoldingState>(dag, works);
+  }
+
+  const JobSet& jobs_;
+  const FaultInjector* faults_;
+  std::vector<std::unique_ptr<UnfoldingState>> fresh_;
+};
+
+using ShadowCombo = std::tuple<std::string, EngineKind, std::string>;
+
+std::string shadow_name(const ::testing::TestParamInfo<ShadowCombo>& info) {
+  std::string name = std::get<0>(info.param) + "_" +
+                     (std::get<1>(info.param) == EngineKind::kEvent
+                          ? "event_"
+                          : "slot_") +
+                     std::get<2>(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+class ShadowUnfolding : public ::testing::TestWithParam<ShadowCombo> {};
+
+TEST_P(ShadowUnfolding, BlocklessReadsMatchAnEagerUnfolding) {
+  const auto& [scheduler, engine, fault_mode] = GetParam();
+  if (scheduler == "profit" && engine == EngineKind::kEvent) {
+    GTEST_SKIP() << "the profit scheduler runs on the slot engine only";
+  }
+  std::size_t deferred_reads = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("instance seed " + std::to_string(seed));
+    Instance instance = random_instance(seed);
+    instance.scheduler = scheduler;
+    const std::optional<FaultInjector> faults =
+        make_faults(fault_mode, instance);
+    EagerShadow shadow(instance.jobs, faults ? &*faults : nullptr);
+    std::unique_ptr<RecordingSelector> recorder;
+    RunSetup setup;
+    setup.engine = engine;
+    setup.fault_mode = fault_mode;
+    setup.clairvoyant_probe = true;
+    setup.on_first_select = [&shadow](JobId job, const UnfoldingState& built) {
+      shadow.check_built(job, built);
+    };
+    setup.probe = [&](const EngineContext& ctx, const Assignment&) {
+      shadow.check(ctx, *recorder);
+      for (const JobId id : ctx.active_jobs()) {
+        if (recorder->selected_unfolding(id) == nullptr) ++deferred_reads;
+      }
+    };
+    RunSetup plain_setup;
+    plain_setup.engine = engine;
+    plain_setup.fault_mode = fault_mode;
+    RunOutput plain;
+    run(instance, plain_setup, plain);
+    RunOutput probed;
+    run(instance, setup, probed, &recorder);
+    // The probe wrapper and the reads leave the run unchanged.
+    expect_same_result(plain.result, probed.result);
+    EXPECT_EQ(jsonl(probed.log), jsonl(plain.log));
+  }
+  // Active jobs the machine has not run yet are the block-less case.
+  EXPECT_GT(deferred_reads, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchedulers, ShadowUnfolding,
+    ::testing::Combine(::testing::ValuesIn(named_scheduler_list()),
+                       ::testing::Values(EngineKind::kEvent,
+                                         EngineKind::kSlot),
+                       ::testing::Values("none", "churn-resume",
+                                         "churn-zero", "overrun")),
+    shadow_name);
 
 }  // namespace
 }  // namespace dagsched

@@ -5,20 +5,29 @@
 //     LatencyHistograms equals one recorder that saw every sample, for any
 //     partition and any merge order;
 //   * a sweep's per-cell results (event logs byte-for-byte, metrics,
-//     histograms) are invariant to the worker-thread count.
+//     histograms) are invariant to the worker-thread count, and for every
+//     named scheduler equal a direct serial run even when the same run
+//     executes on several worker shards at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "exp/sweep/report_writer.h"
 #include "exp/sweep/sweep.h"
 #include "exp/sweep/work_pool.h"
+#include "fault/fault_plan.h"
+#include "fault/injector.h"
+#include "obs/event_log.h"
+#include "obs/sink.h"
 #include "obs/sweep_report.h"
 #include "obs/telemetry/latency_histogram.h"
 #include "util/json.h"
@@ -163,6 +172,135 @@ TEST(Sweep, ResultsInvariantToThreadCount) {
     EXPECT_EQ(parallel.counters, serial.counters);
   }
 }
+
+// --------------------------------------------------------------------------
+// Shard parity: every named scheduler x engine x fault mode.  K replicas of
+// one cell run side by side on K worker shards (K in {2, 4, 8}) over one
+// shared JobSet; each must reproduce a direct serial run_simulation of the
+// same configuration: the event log byte for byte and every result field
+// bitwise.  Per-run mutable state (the kernel's block pools and scratch,
+// the fault injector, the event log) lives in the cell, so a shard running
+// the very same run concurrently must not be able to perturb it.
+// --------------------------------------------------------------------------
+
+constexpr ProcCount kParityM = 4;
+
+JobSet parity_jobs() {
+  Rng rng(21);
+  WorkloadConfig config = scenario_shootout(1.2, kParityM, 0.3, 1.2);
+  config.horizon = 600.0;
+  return generate_workload(rng, config);
+}
+
+class ShardParity
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, EngineKind, std::string>> {};
+
+TEST_P(ShardParity, ShardCountNeverChangesTheRun) {
+  const auto& [scheduler_name, engine, fault_spec] = GetParam();
+  if (scheduler_name == "profit" && engine == EngineKind::kEvent) {
+    GTEST_SKIP() << "profit is slot-engine only";
+  }
+  const JobSet jobs = parity_jobs();
+
+  // Serial reference, in this thread and outside the sweep executor.
+  std::optional<FaultInjector> injector;
+  if (!fault_spec.empty()) {
+    std::string error;
+    const auto config = parse_fault_spec(fault_spec, &error);
+    ASSERT_TRUE(config.has_value()) << error;
+    injector.emplace(build_fault_plan(*config, kParityM));
+  }
+  auto scheduler = make_named_scheduler(scheduler_name, 0.5);
+  auto selector = make_selector(SelectorKind::kFifo, 1);
+  EventLog serial_log;
+  ObsSink sink;
+  sink.events = &serial_log;
+  SimOptions sim;
+  sim.num_procs = kParityM;
+  sim.obs = &sink;
+  sim.faults = injector ? &*injector : nullptr;
+  const SimResult serial =
+      run_simulation(engine, jobs, *scheduler, *selector, sim);
+  ASSERT_FALSE(serial.failed()) << serial.failure_message;
+  ASSERT_GT(serial.decisions, 0u);
+  std::ostringstream serial_jsonl;
+  serial_log.write_jsonl(serial_jsonl);
+
+  SweepCellSpec cell;
+  cell.workload_label = "shootout";
+  cell.jobs = &jobs;
+  cell.scheduler = scheduler_name;
+  cell.eps = 0.5;
+  cell.engine = engine;
+  cell.m = kParityM;
+  cell.fault_label = fault_spec.empty() ? "none" : "churn";
+  cell.fault_spec = fault_spec;
+  SweepOptions options;
+  options.capture_events = true;
+  options.telemetry = false;
+  options.counters = false;
+
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    std::vector<SweepCellSpec> cells(shards, cell);
+    for (std::size_t i = 0; i < shards; ++i) {
+      cells[i].id = "replica" + std::to_string(i);
+    }
+    options.threads = shards;
+    const SweepResult sweep = run_sweep(std::move(cells), options);
+    ASSERT_EQ(sweep.threads, shards);
+    for (std::size_t i = 0; i < shards; ++i) {
+      const SweepCellResult& got = sweep.results[i];
+      ASSERT_TRUE(got.ok()) << got.error << got.metrics.failure_message;
+      EXPECT_EQ(got.events_jsonl, serial_jsonl.str())
+          << "shards=" << shards << " replica " << i;
+      EXPECT_EQ(got.metrics.decisions, serial.decisions) << "shards=" << shards;
+      EXPECT_EQ(got.metrics.completed, serial.jobs_completed)
+          << "shards=" << shards;
+      EXPECT_EQ(got.metrics.profit, serial.total_profit)  // bitwise, not NEAR
+          << "shards=" << shards;
+      EXPECT_EQ(got.metrics.busy_proc_time, serial.busy_proc_time)
+          << "shards=" << shards;
+      EXPECT_EQ(got.metrics.end_time, serial.end_time) << "shards=" << shards;
+      EXPECT_EQ(got.metrics.lost_work, serial.lost_work)
+          << "shards=" << shards;
+      EXPECT_EQ(got.metrics.node_preemptions, serial.node_preemptions)
+          << "shards=" << shards;
+      EXPECT_EQ(got.metrics.job_preemptions, serial.job_preemptions)
+          << "shards=" << shards;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchedulers, ShardParity,
+    ::testing::Combine(
+        ::testing::ValuesIn(named_scheduler_list()),
+        ::testing::Values(EngineKind::kEvent, EngineKind::kSlot),
+        ::testing::Values(
+            std::string(),
+            std::string(
+                "mtbf=30,mttr=5,horizon=60,seed=3,integral=1,restart=resume"),
+            std::string(
+                "mtbf=30,mttr=5,horizon=60,seed=3,integral=1,restart=zero"))),
+    [](const ::testing::TestParamInfo<
+        std::tuple<std::string, EngineKind, std::string>>& param_info) {
+      std::string name = std::get<0>(param_info.param);
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      name += std::get<1>(param_info.param) == EngineKind::kEvent ? "_event"
+                                                                  : "_slot";
+      const std::string& faults = std::get<2>(param_info.param);
+      if (faults.empty()) {
+        name += "_none";
+      } else if (faults.find("restart=zero") != std::string::npos) {
+        name += "_churn_zero";
+      } else {
+        name += "_churn_resume";
+      }
+      return name;
+    });
 
 // --------------------------------------------------------------------------
 // WorkStealingPool (exp/sweep/work_pool.h): the parking protocol.

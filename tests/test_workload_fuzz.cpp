@@ -1,6 +1,6 @@
-// Corruption fuzz for the .wl reader, in the style of CheckpointFuzz: every
-// truncation, byte flip and hostile count must either load or throw a
-// positioned ParseError.  std::bad_alloc, any other exception or a crash
+// Corruption fuzz for the .wl reader and the .csv trace importer, in the
+// style of CheckpointFuzz: every truncation, byte flip and hostile count or
+// magnitude must either load or throw a positioned ParseError.  std::bad_alloc, any other exception or a crash
 // fails the test (they propagate out of the loops below).
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "util/parse_error.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
+#include "workload/trace_import.h"
 #include "workload/workload_io.h"
 
 namespace dagsched {
@@ -200,6 +201,116 @@ TEST(WorkloadFuzz, LineLongerThanTwoBlocksLoadsFromStreamAndFile) {
   ASSERT_EQ(from_file.size(), 2u);
   EXPECT_EQ(from_file[0].work(), from_stream[0].work());
   EXPECT_EQ(from_file[1].work(), from_stream[1].work());
+}
+
+// ---- .csv trace importer ----------------------------------------------------
+
+/// A trace of the first generated thm2 jobs, as export_trace_csv writes it.
+std::string csv_corpus_text() {
+  Rng rng(2017);
+  const JobSet generated = generate_workload(rng, scenario_thm2(0.5, 0.8, 8));
+  JobSet jobs;
+  for (std::size_t i = 0; i < 10 && i < generated.size(); ++i) {
+    jobs.add(generated[i]);
+  }
+  jobs.finalize();
+  std::ostringstream out;
+  export_trace_csv(out, jobs);
+  return out.str();
+}
+
+/// Outcome of importing `text`: the job count, or -1 for a ParseError.
+long long import_or_diagnose(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    return static_cast<long long>(import_trace_csv(in, {}, "<fuzz>").size());
+  } catch (const ParseError& error) {
+    EXPECT_EQ(error.source(), "<fuzz>");
+    EXPECT_GE(error.line(), 1u);
+    EXPECT_GE(error.column(), 1u);
+    return -1;
+  }
+}
+
+TEST(TraceImportFuzz, EveryTruncationLoadsOrIsPositioned) {
+  const std::string text = csv_corpus_text();
+  std::size_t loaded = 0, rejected = 0;
+  long long last_full = 0;
+  for (std::size_t end = 0; end <= text.size(); ++end) {
+    const long long jobs = import_or_diagnose(text.substr(0, end));
+    if (jobs < 0) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    if (end > 0 && text[end - 1] == '\n') {
+      EXPECT_GE(jobs, last_full) << "at " << end;
+      last_full = jobs;
+    }
+  }
+  EXPECT_EQ(last_full, 10);
+  EXPECT_GT(loaded, 10u);
+  EXPECT_GT(rejected, 0u);  // the empty input and cut-off headers
+}
+
+TEST(TraceImportFuzz, SeededByteFlipsLoadOrArePositioned) {
+  const std::string text = csv_corpus_text();
+  const char interesting[] = {'\n', ',', '-', '+', '.', 'e', '9', '0',
+                              ' ',  'x', '\0', '\r', '"'};
+  Rng rng(16);
+  std::size_t loaded = 0, rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string mutated = text;
+    const int flips = static_cast<int>(rng.uniform_int(1, 3));
+    for (int f = 0; f < flips; ++f) {
+      const auto pos = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()) - 1));
+      if (rng.bernoulli(0.5)) {
+        mutated[pos] = interesting[rng.uniform_int(0, sizeof(interesting) - 1)];
+      } else {
+        mutated[pos] = static_cast<char>(mutated[pos] ^
+                                         (1 << rng.uniform_int(0, 7)));
+      }
+    }
+    if (import_or_diagnose(mutated) >= 0) {
+      ++loaded;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(TraceImportFuzz, HostileMagnitudesArePositionedNotAllocated) {
+  // Each row's (work, span) would synthesize far more nodes than a job may
+  // have; before the bound, the first two exhausted memory and the last
+  // never finished (the remainder stops shrinking once work / node
+  // exceeds 2^53).
+  const std::string head = "release,work,span,deadline,profit\n";
+  const struct {
+    std::string row;
+    std::size_t column;
+  } cases[] = {
+      {"0,1e15,1e15,1e16,1\n", 3},
+      {"0,1e12,1,1e13,1\n", 3},
+      {"0,1e300,0.5,1,1\n", 3},
+      {"0, 5e7 ,2,1,1\n", 4},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(head + c.row);
+    try {
+      import_trace_csv(in, {}, "<fuzz>");
+      ADD_FAILURE() << "loaded: " << c.row;
+    } catch (const ParseError& error) {
+      EXPECT_EQ(error.line(), 2u) << c.row << error.what();
+      EXPECT_EQ(error.column(), c.column) << c.row << error.what();
+    }
+  }
+  // At the bound itself the row still loads.
+  std::istringstream in(head + "0,1048576,1,2e6,1\n");
+  EXPECT_EQ(import_trace_csv(in, {}, "<fuzz>")[0].dag().num_nodes(),
+            kMaxTraceJobNodes);
 }
 
 }  // namespace
