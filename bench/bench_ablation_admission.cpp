@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     TrialConfig config;
     config.workload = scenario_shootout(load, 8, 0.4, 1.2);
     config.workload.horizon = 150.0;
-    config.run.m = 8;
+    config.run.sim.num_procs = 8;
     config.trials = 5;
     config.base_seed = 555;
     auto frac = [&config](const DeadlineSchedulerOptions& options) {
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   for (const std::size_t waves : {8u, 16u, 32u, 64u}) {
     const JobSet trap = make_preemption_trap(16, eps, waves);
     RunConfig run;
-    run.m = 16;
+    run.sim.num_procs = 16;
     auto run_one = [&](const DeadlineSchedulerOptions& options) {
       DeadlineScheduler scheduler(options);
       return run_workload(trap, scheduler, run);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       config.workload = scenario_shootout(load, 8, 0.4, 1.2);
       config.workload.family = fc.family;
       config.workload.horizon = 150.0;
-      config.run.m = 8;
+      config.run.sim.num_procs = 8;
       config.trials = 5;
       config.base_seed = 8080;
       auto frac = [&config, eps](DD def) {
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     const JobAllocation alloc = compute_deadline_allocation(
         dag->total_work(), dag->span(), deadline, 1.0, params, 1.0);
     RunConfig run;
-    run.m = m;
+    run.sim.num_procs = m;
     DeadlineScheduler scheduler({.params = params});
     const RunMetrics metrics = run_workload(jobs, scheduler, run);
     if (flat_profit == 0.0) flat_profit = metrics.profit;

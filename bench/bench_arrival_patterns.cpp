@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       config.workload.arrivals.kind = pattern.kind;
       config.workload.arrivals.burst_period = 50.0;
       config.workload.horizon = 200.0;
-      config.run.m = 8;
+      config.run.sim.num_procs = 8;
       config.trials = 5;
       config.base_seed = 606;
       const TrialStats s = run_trials(config, paper_s(eps));

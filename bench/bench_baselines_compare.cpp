@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       TrialConfig config;
       config.workload = scenario_shootout(load, 8, lo, hi);
       config.workload.horizon = 150.0;
-      config.run.m = 8;
+      config.run.sim.num_procs = 8;
       config.trials = 5;
       config.base_seed = 2718;
 

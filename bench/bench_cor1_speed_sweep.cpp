@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
     TrialConfig config;
     config.workload = scenario_tight(0.7, 8);
     config.workload.horizon = 150.0;
-    config.run.m = 8;
-    config.run.speed = speed;
+    config.run.sim.num_procs = 8;
+    config.run.sim.speed = speed;
     config.trials = 4;
     config.base_seed = 99;
     config.with_opt = true;  // OPT bracket stays at speed 1

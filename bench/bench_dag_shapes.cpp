@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       }
 
       RunConfig run;
-      run.m = 8;
+      run.sim.num_procs = 8;
       {
         DeadlineScheduler s({.params = Params::from_epsilon(eps)});
         const RunMetrics metrics = run_workload(jobs, s, run);

@@ -68,7 +68,7 @@ void BM_EventEngineEdf(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -85,7 +85,7 @@ void BM_EventEnginePaperS(benchmark::State& state) {
   for (auto _ : state) {
     DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -110,7 +110,7 @@ void BM_EventEnginePaperSScale(benchmark::State& state) {
   for (auto _ : state) {
     DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -127,7 +127,7 @@ void BM_EventEngineEdfScale(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -152,7 +152,7 @@ void BM_EventEngineEdfWide(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = m;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -174,7 +174,7 @@ void BM_EventEngineLlfScale(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kLlf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -195,7 +195,7 @@ void BM_EventEngineEquiScale(benchmark::State& state) {
   for (auto _ : state) {
     EquiScheduler scheduler;
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
     decisions += result.decisions;
@@ -212,7 +212,7 @@ void BM_SlotEngineEdfScale(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    SlotEngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     SlotEngine engine(jobs, scheduler, *sel, options);
     const SimResult result = engine.run();
@@ -252,7 +252,7 @@ void BM_EventEnginePaperSTelemetry(benchmark::State& state) {
   for (auto _ : state) {
     DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
     auto sel = make_selector(SelectorKind::kFifo);
-    EngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     options.telemetry = &telemetry;
     const SimResult result = simulate(jobs, scheduler, *sel, options);
@@ -276,7 +276,7 @@ void BM_SlotEngineEdfTelemetry(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    SlotEngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     options.telemetry = &telemetry;
     SlotEngine engine(jobs, scheduler, *sel, options);
@@ -320,7 +320,7 @@ void BM_SlotEngineEdf(benchmark::State& state) {
   for (auto _ : state) {
     ListScheduler scheduler({ListPolicy::kEdf, false, true});
     auto sel = make_selector(SelectorKind::kFifo);
-    SlotEngineOptions options;
+    SimOptions options;
     options.num_procs = 16;
     SlotEngine engine(jobs, scheduler, *sel, options);
     benchmark::DoNotOptimize(engine.run().total_profit);

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
 
         auto scheduler = paper_s(eps)();
         dagsched::RunConfig run;
-        run.m = m;
+        run.sim.num_procs = m;
         const dagsched::RunMetrics metrics =
             dagsched::run_workload(jobs, *scheduler, run);
         const dagsched::OptBound lp =

@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
       DeadlineScheduler scheduler(
           DeadlineSchedulerOptions{.params = Params::from_epsilon(eps)});
       RunConfig run;
-      run.m = m;
-      run.faults = injector ? &*injector : nullptr;
+      run.sim.num_procs = m;
+      run.sim.faults = injector ? &*injector : nullptr;
       const RunMetrics metrics = run_workload(jobs, scheduler, run);
 
       table.add_row(

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       query.speed_lo = 1.0;
       query.speed_hi = 6.0;
       query.tolerance = 0.02;
-      query.run.m = 8;
+      query.run.sim.num_procs = 8;
       const AugmentationResult result = find_min_speed(
           jobs, [name] { return make_named_scheduler(name, 0.5); }, query);
       return result.min_speed;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       TrialConfig config;
       config.workload = scenario_thm2(eps, 1.2, 8);
       config.workload.horizon = 150.0;
-      config.run.m = 8;
+      config.run.sim.num_procs = 8;
       config.trials = 4;
       config.base_seed = 13;
       const TrialStats stats =

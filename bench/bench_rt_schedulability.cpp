@@ -23,7 +23,7 @@ using namespace dagsched;
 double met_fraction(const JobSet& jobs, SchedulerBase& scheduler,
                     ProcCount m) {
   RunConfig run;
-  run.m = m;
+  run.sim.num_procs = m;
   const RunMetrics metrics = run_workload(jobs, scheduler, run);
   return jobs.empty() ? 1.0
                       : static_cast<double>(metrics.completed) /
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       met_edf.add(met_fraction(jobs, edf, m));
       dagsched::DeadlineScheduler s({.params = params});
       dagsched::RunConfig run;
-      run.m = m;
+      run.sim.num_procs = m;
       const dagsched::RunMetrics sm = dagsched::run_workload(jobs, s, run);
       met_s.add(static_cast<double>(sm.completed) /
                 static_cast<double>(jobs.size()));

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
       TrialConfig config;
       config.workload = scenario_thm2(eps, load, 8);
       config.workload.horizon = 150.0;
-      config.run.m = 8;
+      config.run.sim.num_procs = 8;
       config.trials = 4;
       config.base_seed = 1234;
       config.with_opt = true;

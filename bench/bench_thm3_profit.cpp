@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       TrialConfig config;
       config.workload = scenario_profit(eps, load, 8, sc.shape);
       config.workload.horizon = 120.0;
-      config.run.m = 8;
+      config.run.sim.num_procs = 8;
       config.run.engine = EngineKind::kSlot;
       config.trials = 3;
       config.base_seed = 31;

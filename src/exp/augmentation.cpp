@@ -14,7 +14,7 @@ AugmentationResult find_min_speed(const JobSet& jobs,
   AugmentationResult result;
   auto fraction_at = [&](double speed) {
     RunConfig run = query.run;
-    run.speed = speed;
+    run.sim.speed = speed;
     auto scheduler = factory();
     ++result.evaluations;
     return run_workload(jobs, *scheduler, run).fraction;

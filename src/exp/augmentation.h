@@ -19,7 +19,7 @@ struct AugmentationQuery {
   double speed_lo = 1.0;
   double speed_hi = 4.0;
   double tolerance = 0.01;
-  RunConfig run;  // speed is overwritten during the search
+  RunConfig run;  // sim.speed is overwritten during the search
 };
 
 struct AugmentationResult {

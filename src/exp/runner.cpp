@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -67,15 +66,8 @@ std::vector<std::string> named_scheduler_list() {
 RunMetrics run_workload(const JobSet& jobs, SchedulerBase& scheduler,
                         const RunConfig& config) {
   auto selector = make_selector(config.selector, config.selector_seed);
-  SimOptions options;
-  options.num_procs = config.m;
-  options.speed = config.speed;
-  options.record_trace = config.record_trace;
-  options.obs = config.obs;
-  options.faults = config.faults;
-  options.telemetry = config.telemetry;
   const SimResult result =
-      run_simulation(config.engine, jobs, scheduler, *selector, options);
+      run_simulation(config.engine, jobs, scheduler, *selector, config.sim);
   RunMetrics metrics;
   metrics.profit = result.total_profit;
   metrics.fraction = profit_fraction(result, jobs);
@@ -158,8 +150,8 @@ OptBracket estimate_opt(const JobSet& jobs, ProcCount m, double opt_speed) {
       {{ListPolicy::kLlf, true, true}, "llf-clairvoyant/critical-path"},
   };
   RunConfig run;
-  run.m = m;
-  run.speed = opt_speed;
+  run.sim.num_procs = m;
+  run.sim.speed = opt_speed;
   run.selector = SelectorKind::kCriticalPath;
   for (const Candidate& candidate : candidates) {
     ListScheduler scheduler(candidate.options);
@@ -190,31 +182,17 @@ OptBracket estimate_opt(const JobSet& jobs, ProcCount m, double opt_speed) {
 }
 
 TrialStats run_trials(const TrialConfig& config,
-                      const SchedulerFactory& factory, ThreadPool* pool) {
+                      const SchedulerFactory& factory) {
   DS_CHECK(config.trials >= 1);
   TrialStats stats;
   stats.trials = config.trials;
-  std::mutex merge_mutex;
-
-  auto one_trial = [&config, &factory, &stats, &merge_mutex](std::size_t i) {
+  for (std::size_t i = 0; i < config.trials; ++i) {
     Rng rng(config.base_seed);
     Rng trial_rng = rng.split(i);
     const JobSet jobs = generate_workload(trial_rng, config.workload);
-    if (jobs.empty()) return;
+    if (jobs.empty()) continue;
     auto scheduler = factory();
     const RunMetrics metrics = run_workload(jobs, *scheduler, config.run);
-
-    double ratio_ub = 0.0;
-    double ratio_wit = 0.0;
-    bool have_opt = false;
-    if (config.with_opt) {
-      const OptBracket bracket = estimate_opt(jobs, config.run.m);
-      ratio_ub = bracket.ratio_upper(metrics.profit);
-      ratio_wit = bracket.ratio_lower(metrics.profit);
-      have_opt = true;
-    }
-
-    std::lock_guard lock(merge_mutex);
     stats.profit.add(metrics.profit);
     stats.fraction.add(metrics.fraction);
     stats.completed_frac.add(
@@ -222,16 +200,14 @@ TrialStats run_trials(const TrialConfig& config,
             ? static_cast<double>(metrics.completed) /
                   static_cast<double>(metrics.num_jobs)
             : 0.0);
-    if (have_opt && std::isfinite(ratio_ub)) {
-      stats.ratio_ub.add(ratio_ub);
-      stats.ratio_wit.add(ratio_wit);
+    if (config.with_opt) {
+      const OptBracket bracket = estimate_opt(jobs, config.run.sim.num_procs);
+      const double ratio_ub = bracket.ratio_upper(metrics.profit);
+      if (std::isfinite(ratio_ub)) {
+        stats.ratio_ub.add(ratio_ub);
+        stats.ratio_wit.add(bracket.ratio_lower(metrics.profit));
+      }
     }
-  };
-
-  if (pool != nullptr) {
-    pool->parallel_for(config.trials, one_trial);
-  } else {
-    for (std::size_t i = 0; i < config.trials; ++i) one_trial(i);
   }
   return stats;
 }

@@ -12,14 +12,12 @@
 #include "sim/node_selector.h"
 #include "sim/scheduler.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 #include "workload/workload.h"
 
 namespace dagsched {
 
 /// Factory so each trial gets a fresh scheduler instance (stateless reuse
-/// also works via reset(); factories keep trials independent under
-/// parallel execution).
+/// also works via reset(); factories keep trials independent).
 using SchedulerFactory = std::function<std::unique_ptr<SchedulerBase>()>;
 
 /// Scheduler registry by name -- "s" (the paper's Section-3 scheduler),
@@ -34,21 +32,13 @@ std::unique_ptr<SchedulerBase> make_named_scheduler(const std::string& name,
 std::vector<std::string> named_scheduler_list();
 
 struct RunConfig {
-  ProcCount m = 16;
-  double speed = 1.0;
+  /// The machine (m = 16 unless set), its speed and the run's hooks.
+  SimOptions sim{.num_procs = 16};
   SelectorKind selector = SelectorKind::kFifo;
   std::uint64_t selector_seed = 0;
   /// Stepping driver to lay over the shared simulation kernel
   /// (EngineKind::kSlot is required by ProfitScheduler).
   EngineKind engine = EngineKind::kEvent;
-  /// Record a full execution trace (needed for utilization timelines).
-  bool record_trace = false;
-  /// Observability sink forwarded to the engine (null = off).
-  const ObsSink* obs = nullptr;
-  /// Fault injector forwarded to the engine (null = no faults).
-  const FaultInjector* faults = nullptr;
-  /// Runtime-telemetry recorder forwarded to the engine (null = off).
-  TelemetryRecorder* telemetry = nullptr;
 };
 
 struct RunMetrics {
@@ -135,10 +125,9 @@ struct TrialStats {
   std::size_t trials = 0;
 };
 
-/// Runs `config.trials` independent seeds; if `pool` is non-null, trials
-/// run concurrently (each trial uses its own scheduler from the factory).
+/// Runs `config.trials` independent seeds in seed order (each trial uses
+/// its own scheduler from the factory).
 TrialStats run_trials(const TrialConfig& config,
-                      const SchedulerFactory& factory,
-                      ThreadPool* pool = nullptr);
+                      const SchedulerFactory& factory);
 
 }  // namespace dagsched

@@ -83,14 +83,14 @@ SweepCellResult run_sweep_cell(const SweepCellSpec& spec,
   if (options.capture_events) sink.events = &events;
 
   RunConfig run;
-  run.m = spec.m;
-  run.speed = spec.speed;
+  run.sim.num_procs = spec.m;
+  run.sim.speed = spec.speed;
+  run.sim.obs = sink.enabled() ? &sink : nullptr;
+  run.sim.faults = injector ? &*injector : nullptr;
+  run.sim.telemetry = telemetry ? &*telemetry : nullptr;
   run.selector = spec.selector;
   run.selector_seed = spec.selector_seed;
   run.engine = spec.engine;
-  run.obs = sink.enabled() ? &sink : nullptr;
-  run.faults = injector ? &*injector : nullptr;
-  run.telemetry = telemetry ? &*telemetry : nullptr;
 
   const Clock::time_point start = Clock::now();
   result.metrics = run_workload(*spec.jobs, *scheduler, run);

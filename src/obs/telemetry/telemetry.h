@@ -9,7 +9,7 @@
 // million-job bytes/job budgets.
 //
 // A TelemetryRecorder is owned by whoever drives a run (CLI, bench, test)
-// and handed to the SimKernel through KernelOptions::telemetry (nullptr =
+// and handed to the SimKernel through SimOptions::telemetry (nullptr =
 // off, the default -- the kernel then takes exactly the seed code path and
 // decision logs stay byte-identical; scripts/decision_parity.sh proves the
 // enabled path changes nothing either).  The kernel feeds it:
@@ -27,10 +27,11 @@
 // A final snapshot is always emitted at kernel finish().
 //
 // Timing uses std::chrono::steady_clock read pairs around the measured
-// region; each record_*_since() reads the clock once and doubles as the
-// wall-interval check, so an enabled run pays two clock reads per decision
-// and one per arrival/transition batch.  Like the rest of the obs layer
-// the recorder is single-threaded: one per run.
+// region; the closing read doubles as the wall-interval check.  The kernel
+// times decide() itself (one pair shared with the engine.decide span and
+// the overload budget) and hands the count to record_decide(); each
+// record_*_since() reads the closing clock itself.  Like the rest of the
+// obs layer the recorder is single-threaded: one per run.
 #pragma once
 
 #include <algorithm>
@@ -98,10 +99,15 @@ class TelemetryRecorder {
   /// distribution construct a fresh recorder (or call reset()).
   void begin_run(double sim_start);
 
-  // -- Hot-path recording (one Clock::now() read each) ----------------------
-  void record_decide_since(Clock::time_point start) {
-    record_into(decide_, start);
+  // -- Hot-path recording ----------------------------------------------------
+  /// Records one decide() latency the kernel measured itself (the same
+  /// count feeds its engine.decide span and overload budget); `end` is the
+  /// clock reading that closed the measurement.  Reads no clock.
+  void record_decide(std::uint64_t ns, Clock::time_point end) {
+    decide_.record(ns);
+    last_event_ = end;
   }
+  /// One Clock::now() read each.
   void record_transition_since(Clock::time_point start) {
     record_into(transition_, start);
   }
@@ -110,8 +116,8 @@ class TelemetryRecorder {
   }
 
   /// Whether a periodic snapshot is due at simulated time `sim_now`.  Wall
-  /// deadlines are evaluated against the timestamp of the latest
-  /// record_*_since() call, so this reads no clock.
+  /// deadlines are evaluated against the timestamp of the latest record_*
+  /// call, so this reads no clock.
   bool snapshot_due(double sim_now) const {
     if (options_.out == nullptr) return false;
     if (options_.sim_interval > 0.0 && sim_now >= next_sim_emit_) return true;

@@ -11,65 +11,42 @@
 namespace dagsched {
 
 EventEngine::EventEngine(const JobSet& jobs, SchedulerBase& scheduler,
-                         NodeSelector& selector, EngineOptions options)
+                         NodeSelector& selector, SimOptions options)
     : jobs_(jobs),
-      scheduler_(scheduler),
-      selector_(selector),
-      options_(std::move(options)) {
-  DS_CHECK_MSG(options_.num_procs >= 1, "need at least one processor");
-  DS_CHECK_MSG(options_.speed > 0.0, "speed must be positive");
-  DS_CHECK_MSG(jobs_.sorted_by_release(), "JobSet not finalized");
-}
+      kernel_(std::make_unique<SimKernel>(jobs, scheduler, selector,
+                                          std::move(options))) {}
 
 EventEngine::~EventEngine() = default;
 
 SimResult EventEngine::run() {
-  const std::size_t n = jobs_.size();
-  if (n == 0) return SimResult{};
-
-  if (kernel_ == nullptr) {
-    KernelOptions kernel_options;
-    kernel_options.num_procs = options_.num_procs;
-    kernel_options.speed = options_.speed;
-    kernel_options.record_trace = options_.record_trace;
-    kernel_options.max_decisions = options_.max_decisions;
-    kernel_options.observer = options_.observer;
-    kernel_options.obs = options_.obs;
-    kernel_options.faults = options_.faults;
-    kernel_options.telemetry = options_.telemetry;
-    kernel_options.die_at_decision = options_.die_at_decision;
-    kernel_options.decide_budget_ns = options_.decide_budget_ns;
-    kernel_options.overload_shed_max = options_.overload_shed_max;
-    kernel_options.overload_probe = options_.overload_probe;
-    kernel_ = std::make_unique<SimKernel>(jobs_, scheduler_, selector_,
-                                          std::move(kernel_options));
-  }
+  if (jobs_.empty()) return SimResult{};
   SimKernel& kernel = *kernel_;
+  const SimOptions& options = kernel.options();
 
   // The step-duration histogram is the one event-engine-specific instrument
   // (the slot engine's steps are unit slots by construction).
-  const ObsSink* obs = options_.obs;
+  const ObsSink* obs = options.obs;
   Histogram* h_step_dt = nullptr;
   if (obs != nullptr && obs->metrics != nullptr) {
     h_step_dt = obs->metrics->histogram("engine.step_dt");
   }
   ScopedSpan run_span(obs != nullptr ? obs->spans : nullptr, "engine.run");
 
-  const double speed = options_.speed;
+  const double speed = options.speed;
   Time now = jobs_[0].release();
   kernel.begin(now);
 
-  if (options_.resume != nullptr) {
+  if (options.resume != nullptr) {
     // Restore the exact loop-top state the checkpoint captured; the run
     // continues as if it had never stopped (the decision log from here on
     // is byte-identical to the uninterrupted run's suffix).
-    CheckpointReader kernel_in = options_.resume->section_reader("kernel");
-    CheckpointReader sched_in = options_.resume->section_reader("scheduler");
+    CheckpointReader kernel_in = options.resume->section_reader("kernel");
+    CheckpointReader sched_in = options.resume->section_reader("scheduler");
     kernel.load_checkpoint_state(kernel_in, sched_in);
-    now = options_.resume->meta.sim_time;
+    now = options.resume->meta.sim_time;
     kernel.set_now(now);
-    if (options_.checkpoint != nullptr) {
-      options_.checkpoint->note_resumed(kernel.decisions());
+    if (options.checkpoint != nullptr) {
+      options.checkpoint->note_resumed(kernel.decisions());
     }
   }
 
@@ -81,9 +58,9 @@ SimResult EventEngine::run() {
     // (0) Checkpoint at the loop top, before event delivery: nothing is
     // half-delivered here, so the snapshot plus the emitted-event count is
     // a complete resume point.
-    if (options_.checkpoint != nullptr &&
-        options_.checkpoint->due(kernel.decisions())) {
-      options_.checkpoint->write(kernel, now, 0);
+    if (options.checkpoint != nullptr &&
+        options.checkpoint->due(kernel.decisions())) {
+      options.checkpoint->write(kernel, now, 0);
     }
 
     // (1) Deliver everything due now -- processor transitions, arrivals,
@@ -138,9 +115,8 @@ SimResult EventEngine::run() {
 }
 
 SimResult simulate(const JobSet& jobs, SchedulerBase& scheduler,
-                   NodeSelector& selector, const EngineOptions& options) {
-  EventEngine engine(jobs, scheduler, selector, options);
-  return engine.run();
+                   NodeSelector& selector, const SimOptions& options) {
+  return EventEngine(jobs, scheduler, selector, options).run();
 }
 
 }  // namespace dagsched

@@ -13,7 +13,7 @@
 namespace dagsched {
 
 SimKernel::SimKernel(const JobSet& jobs, SchedulerBase& scheduler,
-                     NodeSelector& selector, KernelOptions options)
+                     NodeSelector& selector, SimOptions options)
     : jobs_(jobs),
       scheduler_(scheduler),
       selector_(selector),
@@ -282,27 +282,24 @@ std::string SimKernel::validate(const Assignment& assignment) {
 
 bool SimKernel::decide(Time now, Assignment& out) {
   out.clear();
-  // Wall-clock timing is needed by telemetry and by the overload budget;
-  // with neither attached the decide stays a single virtual call under the
-  // (possibly null) span, the seed hot path.
+  // One clock pair around the scheduler call feeds every consumer of the
+  // decide latency: the engine.decide span, telemetry and the overload
+  // budget.  With none of them on, no clock is read (the seed hot path).
   const bool budgeted = options_.decide_budget_ns > 0;
   std::uint64_t decide_ns = 0;
-  if (telemetry_ == nullptr && !budgeted) {
-    ScopedSpan decide_scope(decide_span_);
+  if (decide_span_ == nullptr && telemetry_ == nullptr && !budgeted) {
     scheduler_.decide(ctx_, out);
   } else {
-    const auto t0 = TelemetryRecorder::Clock::now();
-    {
-      ScopedSpan decide_scope(decide_span_);
-      scheduler_.decide(ctx_, out);
+    const auto start = TelemetryRecorder::Clock::now();
+    scheduler_.decide(ctx_, out);
+    const auto end = TelemetryRecorder::Clock::now();
+    decide_ns = static_cast<std::uint64_t>(std::max<std::int64_t>(
+        0, std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+               .count()));
+    if (decide_span_ != nullptr) {
+      decide_span_->record(static_cast<double>(decide_ns));
     }
-    if (budgeted) {
-      decide_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              TelemetryRecorder::Clock::now() - t0)
-              .count());
-    }
-    if (telemetry_ != nullptr) telemetry_->record_decide_since(t0);
+    if (telemetry_ != nullptr) telemetry_->record_decide(decide_ns, end);
   }
   DS_OBS_INC(c_decisions_);
   ++result_.decisions;

@@ -13,16 +13,24 @@
 
 namespace dagsched {
 
+namespace {
+
+/// The kernel's decision cap is the event engine's livelock guard; the
+/// slot engine's runs are bounded by their horizon instead.
+SimOptions without_decision_cap(SimOptions options) {
+  options.max_decisions = 0;
+  return options;
+}
+
+}  // namespace
+
 SlotEngine::SlotEngine(const JobSet& jobs, SchedulerBase& scheduler,
-                       NodeSelector& selector, SlotEngineOptions options)
+                       NodeSelector& selector, SimOptions options)
     : jobs_(jobs),
       scheduler_(scheduler),
-      selector_(selector),
-      options_(std::move(options)) {
-  DS_CHECK_MSG(options_.num_procs >= 1, "need at least one processor");
-  DS_CHECK_MSG(options_.speed > 0.0, "speed must be positive");
-  DS_CHECK_MSG(jobs_.sorted_by_release(), "JobSet not finalized");
-}
+      kernel_(std::make_unique<SimKernel>(
+          jobs, scheduler, selector,
+          without_decision_cap(std::move(options)))) {}
 
 SlotEngine::~SlotEngine() = default;
 
@@ -38,7 +46,7 @@ std::uint64_t SlotEngine::derive_horizon() const {
     total_work += job.work();
   }
   const double slots =
-      std::ceil(last_release) + 8.0 * std::ceil(total_work / options_.speed) +
+      std::ceil(last_release) + 8.0 * std::ceil(total_work / kernel_->speed()) +
       64.0 + 16.0 * static_cast<double>(jobs_.size());
   return static_cast<std::uint64_t>(slots);
 }
@@ -46,31 +54,15 @@ std::uint64_t SlotEngine::derive_horizon() const {
 SimResult SlotEngine::run() {
   const std::size_t n = jobs_.size();
   if (n == 0) return SimResult{};
-
-  if (kernel_ == nullptr) {
-    KernelOptions kernel_options;
-    kernel_options.num_procs = options_.num_procs;
-    kernel_options.speed = options_.speed;
-    kernel_options.record_trace = options_.record_trace;
-    kernel_options.observer = options_.observer;
-    kernel_options.obs = options_.obs;
-    kernel_options.faults = options_.faults;
-    kernel_options.telemetry = options_.telemetry;
-    kernel_options.die_at_decision = options_.die_at_decision;
-    kernel_options.decide_budget_ns = options_.decide_budget_ns;
-    kernel_options.overload_shed_max = options_.overload_shed_max;
-    kernel_options.overload_probe = options_.overload_probe;
-    kernel_ = std::make_unique<SimKernel>(jobs_, scheduler_, selector_,
-                                          std::move(kernel_options));
-  }
   SimKernel& kernel = *kernel_;
+  const SimOptions& options = kernel.options();
 
-  const ObsSink* obs = options_.obs;
+  const ObsSink* obs = options.obs;
   ScopedSpan run_span(obs != nullptr ? obs->spans : nullptr, "engine.run");
 
   const std::uint64_t horizon =
-      options_.max_slots > 0 ? options_.max_slots : derive_horizon();
-  const double speed = options_.speed;
+      options.max_slots > 0 ? options.max_slots : derive_horizon();
+  const double speed = options.speed;
 
   // Member scratch: capacity survives across runs (zero-alloc contract).
   Assignment& assignment = assignment_;
@@ -79,22 +71,22 @@ SimResult SlotEngine::run() {
       static_cast<std::uint64_t>(std::max(0.0, std::floor(jobs_[0].release())));
   kernel.begin(static_cast<Time>(slot));
 
-  if (options_.resume != nullptr) {
+  if (options.resume != nullptr) {
     // Restore the exact loop-top state the checkpoint captured; the run
     // continues at the pinned slot as if it had never stopped.
-    CheckpointReader kernel_in = options_.resume->section_reader("kernel");
-    CheckpointReader sched_in = options_.resume->section_reader("scheduler");
+    CheckpointReader kernel_in = options.resume->section_reader("kernel");
+    CheckpointReader sched_in = options.resume->section_reader("scheduler");
     kernel.load_checkpoint_state(kernel_in, sched_in);
-    slot = options_.resume->meta.slot;
+    slot = options.resume->meta.slot;
     kernel.set_now(static_cast<Time>(slot));
-    if (options_.checkpoint != nullptr) {
-      options_.checkpoint->note_resumed(kernel.decisions());
+    if (options.checkpoint != nullptr) {
+      options.checkpoint->note_resumed(kernel.decisions());
     }
   }
 
   for (; !kernel.all_done(); ++slot) {
     if (slot >= horizon) {
-      if (options_.max_slots > 0) {
+      if (options.max_slots > 0) {
         // Explicit cap: a caller-requested truncation, not a failure.
         DS_LOG_WARN("SlotEngine max_slots " << horizon << " reached with "
                                             << (n - kernel.jobs_done())
@@ -114,9 +106,9 @@ SimResult SlotEngine::run() {
     // (0) Checkpoint at the slot top, before event delivery: nothing is
     // half-delivered here, so the snapshot plus the emitted-event count is
     // a complete resume point.
-    if (options_.checkpoint != nullptr &&
-        options_.checkpoint->due(kernel.decisions())) {
-      options_.checkpoint->write(kernel, now, slot);
+    if (options.checkpoint != nullptr &&
+        options.checkpoint->due(kernel.decisions())) {
+      options.checkpoint->write(kernel, now, slot);
     }
 
     // (1) Deliver everything due by the start of this slot -- processor

@@ -85,22 +85,6 @@ class BumpArena {
     total_used_ = 0;
   }
 
-  /// Pre-sizes the arena so a working set of `bytes` fits in one chunk.
-  /// Only valid while the arena is empty (nothing allocated since reset).
-  /// Does not touch the high-water mark: that keeps tracking what was
-  /// actually allocated (reset() sizes its coalesced chunk by it), not the
-  /// caller's estimate.
-  void reserve(std::size_t bytes) {
-    DS_CHECK(total_used_ == 0);
-    if (capacity() < bytes) {
-      chunks_.clear();
-      chunk_size_ = 0;
-      used_ = 0;
-      retired_ = 0;
-      grow(bytes);
-    }
-  }
-
   /// Bytes currently handed out (including alignment padding).
   std::size_t used() const { return total_used_; }
   /// Largest `used()` ever observed — the steady-state working set.

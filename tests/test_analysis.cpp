@@ -54,7 +54,7 @@ TEST(ProvenBoundsTest, DominatesMeasuredRatios) {
   TrialConfig config;
   config.workload = scenario_thm2(eps, 1.0, 8);
   config.workload.horizon = 80.0;
-  config.run.m = 8;
+  config.run.sim.num_procs = 8;
   config.trials = 3;
   config.with_opt = true;
   const TrialStats stats = run_trials(config, [eps] {

@@ -76,7 +76,7 @@ TEST(Augmentation, FindsThresholdOnFig1) {
   query.speed_lo = 1.0;
   query.speed_hi = 3.0;
   query.tolerance = 0.005;
-  query.run.m = m;
+  query.run.sim.num_procs = m;
   query.run.selector = SelectorKind::kAdversarial;
   const AugmentationResult result = find_min_speed(
       jobs, [] { return make_named_scheduler("fcfs"); }, query);
@@ -93,7 +93,7 @@ TEST(Augmentation, ReportsUnreachableTarget) {
   AugmentationQuery query;
   query.target_fraction = 1.0;
   query.speed_hi = 2.0;
-  query.run.m = 4;
+  query.run.sim.num_procs = 4;
   const AugmentationResult result = find_min_speed(
       jobs, [] { return make_named_scheduler("edf"); }, query);
   EXPECT_GT(result.min_speed, 2.5);
@@ -106,7 +106,7 @@ TEST(Augmentation, NoAugmentationNeededForEasyInstance) {
   jobs.finalize();
   AugmentationQuery query;
   query.target_fraction = 1.0;
-  query.run.m = 1;
+  query.run.sim.num_procs = 1;
   const AugmentationResult result = find_min_speed(
       jobs, [] { return make_named_scheduler("edf"); }, query);
   EXPECT_DOUBLE_EQ(result.min_speed, 1.0);

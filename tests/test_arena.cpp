@@ -54,15 +54,6 @@ TEST(BumpArena, GrowsAcrossChunksAndCoalescesOnReset) {
   EXPECT_EQ(arena.capacity(), capacity);
 }
 
-TEST(BumpArena, ReservePresizesASingleChunk) {
-  BumpArena arena;
-  arena.reserve(1 << 16);
-  EXPECT_GE(arena.capacity(), std::size_t{1} << 16);
-  const std::size_t capacity = arena.capacity();
-  for (int i = 0; i < 64; ++i) arena.allocate_array<double>(128);  // 64 KiB
-  EXPECT_EQ(arena.capacity(), capacity);  // never spilled
-}
-
 TEST(NodePool, RecyclesFreedNodesLifo) {
   NodePool pool;
   void* a = pool.allocate(48);

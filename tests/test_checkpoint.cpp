@@ -500,7 +500,7 @@ TEST(CheckpointFuzz, SemanticCorruptionIsRejectedOnLoadNotCrashed) {
 
       auto scheduler = make_named_scheduler("s", 0.5);
       auto selector = make_selector(SelectorKind::kFifo, 1);
-      KernelOptions options;
+      SimOptions options;
       options.num_procs = kParityM;
       SimKernel kernel(jobs, *scheduler, *selector, options);
       kernel.begin(jobs[0].release());

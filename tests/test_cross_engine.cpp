@@ -59,15 +59,10 @@ TEST_P(CrossEngine, EdfSchedulesIdentically) {
   auto sel1 = make_selector(SelectorKind::kFifo);
   auto sel2 = make_selector(SelectorKind::kFifo);
 
-  EngineOptions ev_options;
-  ev_options.num_procs = 4;
-  EventEngine event_engine(jobs, s1, *sel1, ev_options);
-  const SimResult ev = event_engine.run();
-
-  SlotEngineOptions slot_options;
-  slot_options.num_procs = 4;
-  SlotEngine slot_engine(jobs, s2, *sel2, slot_options);
-  const SimResult slot = slot_engine.run();
+  SimOptions options;
+  options.num_procs = 4;
+  const SimResult ev = EventEngine(jobs, s1, *sel1, options).run();
+  const SimResult slot = SlotEngine(jobs, s2, *sel2, options).run();
 
   ASSERT_EQ(ev.outcomes.size(), slot.outcomes.size());
   for (std::size_t i = 0; i < ev.outcomes.size(); ++i) {
@@ -89,15 +84,10 @@ TEST_P(CrossEngine, PaperSchedulerSchedulesIdentically) {
   auto sel1 = make_selector(SelectorKind::kFifo);
   auto sel2 = make_selector(SelectorKind::kFifo);
 
-  EngineOptions ev_options;
-  ev_options.num_procs = 4;
-  EventEngine event_engine(jobs, s1, *sel1, ev_options);
-  const SimResult ev = event_engine.run();
-
-  SlotEngineOptions slot_options;
-  slot_options.num_procs = 4;
-  SlotEngine slot_engine(jobs, s2, *sel2, slot_options);
-  const SimResult slot = slot_engine.run();
+  SimOptions options;
+  options.num_procs = 4;
+  const SimResult ev = EventEngine(jobs, s1, *sel1, options).run();
+  const SimResult slot = SlotEngine(jobs, s2, *sel2, options).run();
 
   for (std::size_t i = 0; i < ev.outcomes.size(); ++i) {
     EXPECT_EQ(ev.outcomes[i].completed, slot.outcomes[i].completed)

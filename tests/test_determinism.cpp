@@ -23,7 +23,7 @@ TEST_P(Determinism, IdenticalRunsProduceIdenticalResults) {
   const JobSet jobs2 = generate_workload(rng2, config);
 
   RunConfig run;
-  run.m = 8;
+  run.sim.num_procs = 8;
   run.engine = (name == "profit") ? EngineKind::kSlot : EngineKind::kEvent;
   auto s1 = make_named_scheduler(name, 0.5);
   auto s2 = make_named_scheduler(name, 0.5);
@@ -52,7 +52,7 @@ TEST(Determinism, RandomSelectorIsSeedStable) {
   config.horizon = 60.0;
   const JobSet jobs = generate_workload(rng, config);
   RunConfig run;
-  run.m = 8;
+  run.sim.num_procs = 8;
   run.selector = SelectorKind::kRandom;
   run.selector_seed = 99;
   auto s1 = make_named_scheduler("edf");

@@ -57,13 +57,31 @@ TEST(EdgeCases, SlotEngineHonorsMaxSlotsCap) {
     return DeadlineScheduler({.params = Params::from_epsilon(0.5)});
   }();
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = 2;
   options.max_slots = 10;  // far below the 50 slots the chain needs
   SlotEngine engine(jobs, scheduler, *selector, options);
   const SimResult result = engine.run();
   EXPECT_FALSE(result.outcomes[0].completed);
   EXPECT_LE(result.end_time, 11.0);
+}
+
+TEST(EdgeCases, EventEngineIgnoresMaxSlots) {
+  // max_slots is the slot engine's cap; the event engine runs the same
+  // 50-node chain to completion past t = 10.
+  JobSet jobs;
+  jobs.add(Job::with_deadline(share(make_chain(50, 1.0)), 0.0, 500.0, 1.0));
+  jobs.finalize();
+  DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
+  auto selector = make_selector(SelectorKind::kFifo);
+  SimOptions options;
+  options.num_procs = 2;
+  options.max_slots = 10;
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *selector, options);
+  EXPECT_FALSE(result.failed()) << result.failure_message;
+  EXPECT_TRUE(result.outcomes[0].completed);
+  EXPECT_GT(result.end_time, 10.0);
 }
 
 TEST(EdgeCases, ProfitSchedulerSearchCapLeavesJobUnscheduled) {
@@ -80,7 +98,7 @@ TEST(EdgeCases, ProfitSchedulerSearchCapLeavesJobUnscheduled) {
   ProfitScheduler scheduler({.params = Params::from_epsilon(0.5),
                              .max_search_slots = 12});
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = m;
   SlotEngine engine(jobs, scheduler, *selector, options);
   engine.run();
@@ -141,7 +159,7 @@ TEST(EdgeCases, EngineWithJobsReleasedAtSameInstant) {
   // admits one unit job at a time).
   auto scheduler = make_named_scheduler("edf");
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 2;
   const SimResult result = simulate(jobs, *scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 16u);

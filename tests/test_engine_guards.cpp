@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "baselines/list_scheduler.h"
 #include "core/profit_scheduler.h"
 #include "dag/generators.h"
 #include "sim/event_engine.h"
@@ -116,7 +117,7 @@ TEST(EngineGuards, SemiNonClairvoyantPeekAborts) {
   const JobSet jobs = two_jobs();
   Peeker scheduler;
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 2;
   EventEngine engine(jobs, scheduler, *selector, options);
   EXPECT_DEATH(engine.run(), "peeked");
@@ -131,7 +132,7 @@ TEST(EngineGuards, ProfitSchedulerRefusesEventEngine) {
   jobs.finalize();
   ProfitScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   EventEngine engine(jobs, scheduler, *selector, options);
   EXPECT_DEATH(engine.run(), "SlotEngine");
@@ -150,9 +151,28 @@ TEST(EngineGuards, UnsortedJobSetRejected) {
   };
   Idle scheduler;
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   EXPECT_DEATH(EventEngine(jobs, scheduler, *selector, options),
                "not finalized");
+}
+
+TEST(EngineGuards, SlotEngineIgnoresMaxDecisions) {
+  // max_decisions is the event engine's livelock guard; a slot run is
+  // bounded by its horizon, so a cap far below the 50 slots a 50-node
+  // chain needs must neither fail the run nor stop it early.
+  JobSet jobs;
+  jobs.add(Job::with_deadline(share(make_chain(50, 1.0)), 0.0, 500.0, 1.0));
+  jobs.finalize();
+  ListScheduler scheduler({ListPolicy::kEdf, false, true});
+  auto selector = make_selector(SelectorKind::kFifo);
+  SimOptions options;
+  options.num_procs = 2;
+  options.max_decisions = 3;
+  const SimResult result =
+      run_simulation(EngineKind::kSlot, jobs, scheduler, *selector, options);
+  EXPECT_FALSE(result.failed()) << result.failure_message;
+  EXPECT_TRUE(result.outcomes[0].completed);
+  EXPECT_GT(result.decisions, 3u);
 }
 
 }  // namespace

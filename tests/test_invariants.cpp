@@ -77,7 +77,7 @@ TEST_P(AllSchedulers, ProducesLegalScheduleAndSaneAccounting) {
 
   auto scheduler = make_scheduler(which);
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 8;
   options.record_trace = true;
   const SimResult result = simulate(jobs, *scheduler, *selector, options);
@@ -125,8 +125,8 @@ TEST(SpeedMonotonicity, PaperSchedulerProfitsFromSpeed) {
   for (const double speed : {1.0, 1.5, 2.0, 2.5, 3.0}) {
     DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
     RunConfig run;
-    run.m = 8;
-    run.speed = speed;
+    run.sim.num_procs = 8;
+    run.sim.speed = speed;
     const RunMetrics metrics = run_workload(jobs, scheduler, run);
     // Not strictly monotone in theory (admission is myopic), but must not
     // collapse; allow small dips.

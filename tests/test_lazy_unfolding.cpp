@@ -51,7 +51,7 @@ TEST(LazyUnfolding, LiveBlockBytesStayFarBelowTheArrivalSum) {
   std::vector<JobId> live;
   std::map<std::size_t, std::size_t> live_per_class, peak_per_class;
   std::size_t most_built = 0;
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 16;
   options.observer = [&](const EngineContext& ctx,
                          const Assignment& assignment) {
@@ -113,7 +113,7 @@ TEST(LazyUnfolding, RerunOverARecycledPoolWritesIdenticalCheckpoints) {
   const std::string path =
       ::testing::TempDir() + "lazy_unfolding_rerun.ckpt";
   std::optional<CheckpointSink> sink;
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 16;
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);

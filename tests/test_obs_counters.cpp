@@ -158,20 +158,12 @@ double run_idle_counter(const JobSet& jobs, bool slot, ProcCount m,
   sink.metrics = &registry;
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  SimResult result;
-  if (slot) {
-    SlotEngineOptions options;
-    options.num_procs = m;
-    options.obs = &sink;
-    SlotEngine engine(jobs, scheduler, *selector, options);
-    result = engine.run();
-  } else {
-    EngineOptions options;
-    options.num_procs = m;
-    options.obs = &sink;
-    EventEngine engine(jobs, scheduler, *selector, options);
-    result = engine.run();
-  }
+  SimOptions options;
+  options.num_procs = m;
+  options.obs = &sink;
+  const SimResult result =
+      slot ? SlotEngine(jobs, scheduler, *selector, options).run()
+           : EventEngine(jobs, scheduler, *selector, options).run();
   EXPECT_EQ(result.jobs_completed, jobs.size());
   *busy = result.busy_proc_time;
   *end_time = result.end_time;

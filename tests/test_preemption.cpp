@@ -29,7 +29,7 @@ TEST(Preemption, NoneForUncontestedJob) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_EQ(result.node_preemptions, 0u);
@@ -45,7 +45,7 @@ TEST(Preemption, EdfPreemptsForTighterDeadline) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 2u);
@@ -61,7 +61,7 @@ TEST(Preemption, CompletionIsNotPreemption) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kFcfs, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_EQ(result.jobs_completed, 2u);
@@ -77,7 +77,7 @@ TEST(Preemption, SlotEngineCountsGaps) {
   jobs.finalize();
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   auto selector = make_selector(SelectorKind::kFifo);
-  SlotEngineOptions options;
+  SimOptions options;
   options.num_procs = 1;
   SlotEngine engine(jobs, scheduler, *selector, options);
   const SimResult result = engine.run();
@@ -124,14 +124,12 @@ TEST_P(PreemptionEdges, FirstIntervalAfterBeginCountsNoContinuingNodes) {
       EXPECT_EQ(result.job_preemptions, 0u) << "run " << run;
     }
   };
+  SimOptions options;
+  options.num_procs = 5;
   if (GetParam() == EngineKind::kEvent) {
-    EngineOptions options;
-    options.num_procs = 5;
     EventEngine engine(jobs, scheduler, *selector, options);
     run_twice(engine);
   } else {
-    SlotEngineOptions options;
-    options.num_procs = 5;
     SlotEngine engine(jobs, scheduler, *selector, options);
     run_twice(engine);
   }
@@ -210,7 +208,7 @@ TEST(Equi, SplitsProcessorsEvenly) {
   EquiScheduler scheduler;
   bool checked = false;
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 6;
   options.observer = [&checked](const EngineContext& ctx,
                                 const Assignment& assignment) {
@@ -237,7 +235,7 @@ TEST(Equi, LargestRemainderDistributesLeftovers) {
   jobs.finalize();
   EquiScheduler scheduler;
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 4;  // 4/3: grants 2,1,1
   bool checked = false;
   options.observer = [&checked](const EngineContext& ctx,
@@ -264,7 +262,7 @@ TEST(Equi, ProfitWeightingBiasesShares) {
   jobs.finalize();
   EquiScheduler scheduler({.weight_by_profit = true});
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 10;
   bool checked = false;
   options.observer = [&checked](const EngineContext& ctx,
@@ -289,7 +287,7 @@ TEST(Equi, NeverPeeksAtDagStructure) {
   EquiScheduler scheduler;
   EXPECT_FALSE(scheduler.clairvoyant());
   auto selector = make_selector(SelectorKind::kFifo);
-  EngineOptions options;
+  SimOptions options;
   options.num_procs = 8;
   const SimResult result = simulate(jobs, scheduler, *selector, options);
   EXPECT_GE(result.total_profit, 0.0);

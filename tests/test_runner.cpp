@@ -19,7 +19,7 @@ TEST(Runner, RunWorkloadProducesConsistentMetrics) {
   ASSERT_FALSE(jobs.empty());
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   RunConfig config;
-  config.m = 8;
+  config.sim.num_procs = 8;
   const RunMetrics metrics = run_workload(jobs, scheduler, config);
   EXPECT_EQ(metrics.num_jobs, jobs.size());
   EXPECT_LE(metrics.completed, metrics.num_jobs);
@@ -46,7 +46,7 @@ TEST(Runner, AlgorithmNeverExceedsUpperBound) {
   const OptBracket bracket = estimate_opt(jobs, 8);
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   RunConfig config;
-  config.m = 8;
+  config.sim.num_procs = 8;
   const RunMetrics metrics = run_workload(jobs, scheduler, config);
   EXPECT_LE(metrics.profit, bracket.upper + 1e-6);
 }
@@ -83,7 +83,7 @@ TEST(Runner, TrialsAggregateDeterministically) {
   TrialConfig config;
   config.workload = scenario_thm2(0.5, 0.6, 8);
   config.workload.horizon = 120.0;
-  config.run.m = 8;
+  config.run.sim.num_procs = 8;
   config.trials = 4;
   config.base_seed = 77;
   const SchedulerFactory factory = [] {
@@ -97,30 +97,11 @@ TEST(Runner, TrialsAggregateDeterministically) {
   EXPECT_DOUBLE_EQ(a.fraction.mean(), b.fraction.mean());
 }
 
-TEST(Runner, TrialsParallelMatchesSequential) {
-  TrialConfig config;
-  config.workload = scenario_thm2(0.5, 0.6, 8);
-  config.workload.horizon = 100.0;
-  config.run.m = 8;
-  config.trials = 6;
-  config.base_seed = 5;
-  const SchedulerFactory factory = [] {
-    return std::make_unique<ListScheduler>(
-        ListSchedulerOptions{ListPolicy::kEdf, false, true});
-  };
-  ThreadPool pool(3);
-  const TrialStats sequential = run_trials(config, factory, nullptr);
-  const TrialStats parallel = run_trials(config, factory, &pool);
-  EXPECT_DOUBLE_EQ(sequential.profit.mean(), parallel.profit.mean());
-  EXPECT_DOUBLE_EQ(sequential.profit.min(), parallel.profit.min());
-  EXPECT_DOUBLE_EQ(sequential.profit.max(), parallel.profit.max());
-}
-
 TEST(Runner, WithOptPopulatesRatios) {
   TrialConfig config;
   config.workload = scenario_thm2(0.5, 0.6, 4);
   config.workload.horizon = 60.0;
-  config.run.m = 4;
+  config.run.sim.num_procs = 4;
   config.trials = 2;
   config.with_opt = true;
   const SchedulerFactory factory = [] {
@@ -140,7 +121,7 @@ TEST(Runner, SlotEngineRouting) {
   const JobSet jobs = generate_workload(rng, wconfig);
   ListScheduler scheduler({ListPolicy::kEdf, false, true});
   RunConfig config;
-  config.m = 8;
+  config.sim.num_procs = 8;
   config.engine = EngineKind::kSlot;
   const RunMetrics metrics = run_workload(jobs, scheduler, config);
   EXPECT_GE(metrics.profit, 0.0);
@@ -165,7 +146,7 @@ TEST(Runner, BothEnginesProduceEqualMetricsOnIntegralWorkload) {
   ASSERT_FALSE(jobs.empty());
 
   RunConfig config;
-  config.m = 4;
+  config.sim.num_procs = 4;
   RunMetrics by_engine[2];
   const EngineKind kinds[2] = {EngineKind::kEvent, EngineKind::kSlot};
   for (int i = 0; i < 2; ++i) {

@@ -54,7 +54,7 @@ template <typename MakeScheduler>
 EngineRuns run_both(const JobSet& jobs, MakeScheduler make_scheduler) {
   EngineRuns out;
   RunConfig config;
-  config.m = 16;
+  config.sim.num_procs = 16;
   {
     auto scheduler = make_scheduler();
     config.engine = EngineKind::kEvent;

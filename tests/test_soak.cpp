@@ -19,7 +19,7 @@ TEST(Soak, ThousandsOfJobsThroughEventEngine) {
   for (const char* name : {"s", "edf", "hdf"}) {
     auto scheduler = make_named_scheduler(name, 0.5);
     RunConfig run;
-    run.m = 16;
+    run.sim.num_procs = 16;
     const RunMetrics metrics = run_workload(jobs, *scheduler, run);
     // Accounting sanity at scale.
     EXPECT_GT(metrics.completed, jobs.size() / 10) << name;
@@ -42,7 +42,7 @@ TEST(Soak, SchedulerSQueuesStayBounded) {
   ASSERT_GT(jobs.size(), 500u);
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   RunConfig run;
-  run.m = 16;
+  run.sim.num_procs = 16;
   const RunMetrics metrics = run_workload(jobs, scheduler, run);
   // Every started job is accounted: started profit bounded by total.
   EXPECT_LE(scheduler.started_profit(), jobs.total_peak_profit() + 1e-6);

@@ -19,9 +19,11 @@
 #include "obs/event_log.h"
 #include "obs/report.h"
 #include "obs/sink.h"
+#include "obs/span_timer.h"
 #include "obs/telemetry/latency_histogram.h"
 #include "obs/telemetry/telemetry.h"
 #include "sim/event_engine.h"
+#include "sim/kernel/engine_factory.h"
 #include "sim/slot_engine.h"
 #include "util/rng.h"
 #include "workload/scenarios.h"
@@ -167,7 +169,7 @@ TEST(TelemetryRecorder, JsonlRoundTripsThroughParser) {
   TelemetryRecorder recorder(options);
   recorder.begin_run(0.0);
   const auto t0 = TelemetryRecorder::Clock::now();
-  recorder.record_decide_since(t0);
+  recorder.record_decide(0, t0);
   recorder.record_admission_since(t0);
 
   TelemetrySample sample;
@@ -241,21 +243,13 @@ std::string run_and_log(const JobSet& jobs, bool slot,
   sink.events = &log;
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto sel = make_selector(SelectorKind::kFifo);
-  SimResult result;
-  if (slot) {
-    SlotEngineOptions options;
-    options.num_procs = 8;
-    options.obs = &sink;
-    options.telemetry = telemetry;
-    SlotEngine engine(jobs, scheduler, *sel, options);
-    result = engine.run();
-  } else {
-    EngineOptions options;
-    options.num_procs = 8;
-    options.obs = &sink;
-    options.telemetry = telemetry;
-    result = simulate(jobs, scheduler, *sel, options);
-  }
+  SimOptions options;
+  options.num_procs = 8;
+  options.obs = &sink;
+  options.telemetry = telemetry;
+  const SimResult result =
+      slot ? SlotEngine(jobs, scheduler, *sel, options).run()
+           : simulate(jobs, scheduler, *sel, options);
   EXPECT_FALSE(result.failed());
   std::ostringstream out;
   log.write_jsonl(out);
@@ -287,7 +281,7 @@ TEST(TelemetryIntegration, KernelFillsHistogramsAndGauges) {
 
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions engine_options;
+  SimOptions engine_options;
   engine_options.num_procs = 8;
   engine_options.telemetry = &recorder;
   const SimResult result = simulate(jobs, scheduler, *sel, engine_options);
@@ -322,6 +316,41 @@ TEST(TelemetryIntegration, KernelFillsHistogramsAndGauges) {
             0.0);
 }
 
+TEST(TelemetryIntegration, DecideIsTimedOnce) {
+  // With the engine.decide span, a telemetry recorder and a decide budget
+  // all on, each decide() is measured once and that one count feeds all
+  // three: the span, the histogram and the budget agree to the nanosecond.
+  const JobSet jobs = telemetry_jobs();
+  SpanRegistry spans;
+  ObsSink sink;
+  sink.spans = &spans;
+  TelemetryRecorder recorder;  // histogram-only, no sink
+  double probed_ns = 0.0;
+  DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
+  auto sel = make_selector(SelectorKind::kFifo);
+  SimOptions options;
+  options.num_procs = 8;
+  options.obs = &sink;
+  options.telemetry = &recorder;
+  options.decide_budget_ns = std::uint64_t{1} << 62;  // never breached
+  options.overload_probe = [&probed_ns](std::size_t, std::uint64_t ns) {
+    probed_ns += static_cast<double>(ns);
+    return ns;
+  };
+  const SimResult result =
+      run_simulation(EngineKind::kEvent, jobs, scheduler, *sel, options);
+  ASSERT_FALSE(result.failed());
+  ASSERT_GT(result.decisions, 0u);
+
+  const SpanStats& decide_span = *spans.span("engine.decide");
+  const LatencyHistogram& histogram = recorder.decide_histogram();
+  EXPECT_EQ(decide_span.count, histogram.count());
+  EXPECT_EQ(histogram.count(), result.decisions);
+  EXPECT_EQ(decide_span.total_ns, histogram.sum_ns());
+  EXPECT_EQ(probed_ns, histogram.sum_ns());
+  EXPECT_EQ(result.overload_breaches, 0u);
+}
+
 TEST(TelemetryIntegration, EquiReportsItsCandidateQueue) {
   // EQUI keeps its own candidate list, so its queue_depth gauge is live
   // mid-run rather than the stateless-policy 0.
@@ -335,7 +364,7 @@ TEST(TelemetryIntegration, EquiReportsItsCandidateQueue) {
 
   EquiScheduler scheduler;
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions engine_options;
+  SimOptions engine_options;
   engine_options.num_procs = 8;
   engine_options.telemetry = &recorder;
   ASSERT_FALSE(simulate(jobs, scheduler, *sel, engine_options).failed());
@@ -362,7 +391,7 @@ TEST(TelemetryIntegration, RunReportGainsTelemetrySectionOnlyWhenAttached) {
   TelemetryRecorder recorder;
   DeadlineScheduler scheduler({.params = Params::from_epsilon(0.5)});
   auto sel = make_selector(SelectorKind::kFifo);
-  EngineOptions engine_options;
+  SimOptions engine_options;
   engine_options.num_procs = 8;
   engine_options.telemetry = &recorder;
   const SimResult result = simulate(jobs, scheduler, *sel, engine_options);

@@ -246,33 +246,11 @@ std::size_t parse_count_or_auto(const std::string& flag,
   return parse_positive_count(flag, value, max_value);
 }
 
-/// Runs the named engine via the kernel-backed factory; throws
-/// std::invalid_argument on an unknown name.
-SimResult run_engine(const std::string& engine, const JobSet& jobs,
-                     SchedulerBase& scheduler, NodeSelector& selector,
-                     ProcCount m, double speed, bool record_trace,
-                     const ObsSink* obs, const FaultInjector* faults,
-                     TelemetryRecorder* telemetry = nullptr,
-                     CheckpointSink* checkpoint = nullptr,
-                     const CheckpointFile* resume = nullptr,
-                     std::size_t die_at_decision = 0,
-                     std::uint64_t decide_budget_ns = 0,
-                     std::size_t overload_shed_max = 1) {
-  const std::optional<EngineKind> kind = parse_engine_kind(engine);
-  if (!kind) throw std::invalid_argument("unknown engine '" + engine + "'");
-  SimOptions options;
-  options.num_procs = m;
-  options.speed = speed;
-  options.record_trace = record_trace;
-  options.obs = obs;
-  options.faults = faults;
-  options.telemetry = telemetry;
-  options.checkpoint = checkpoint;
-  options.resume = resume;
-  options.die_at_decision = die_at_decision;
-  options.decide_budget_ns = decide_budget_ns;
-  options.overload_shed_max = overload_shed_max;
-  return run_simulation(*kind, jobs, scheduler, selector, options);
+/// The --engine value; throws std::invalid_argument on an unknown name.
+EngineKind parse_engine(const std::string& name) {
+  const std::optional<EngineKind> kind = parse_engine_kind(name);
+  if (!kind) throw std::invalid_argument("unknown engine '" + name + "'");
+  return *kind;
 }
 
 /// Parses a `--telemetry-interval` value into TelemetryOptions intervals:
@@ -433,7 +411,6 @@ int cmd_run(ArgParser& args) {
     sink.spans = &spans;
   }
   if (!obs_path.empty() || !events_path.empty()) sink.events = &event_log;
-  const ObsSink* obs = sink.enabled() ? &sink : nullptr;
 
   // Runtime telemetry: a JSONL snapshot stream next to (and independent of)
   // the obs registries.  No flag => null recorder => seed behavior.
@@ -524,16 +501,21 @@ int cmd_run(ArgParser& args) {
     deadline_scheduler = dynamic_cast<DeadlineScheduler*>(scheduler.get());
   }
   auto sel = make_selector(selector, 1);
-  const bool record_trace =
+  SimOptions options;
+  options.num_procs = m;
+  options.speed = speed;
+  options.record_trace =
       show_gantt || show_profile || !svg_path.empty() || !obs_path.empty();
+  options.obs = sink.enabled() ? &sink : nullptr;
+  options.faults = injector ? &*injector : nullptr;
+  options.telemetry = telemetry ? &*telemetry : nullptr;
+  options.checkpoint = checkpoint_sink ? &*checkpoint_sink : nullptr;
+  options.resume = resume_file ? &*resume_file : nullptr;
+  options.die_at_decision = static_cast<std::size_t>(die_at_decision);
+  options.decide_budget_ns = decide_budget_ns;
+  options.overload_shed_max = static_cast<std::size_t>(overload_shed);
   const SimResult result =
-      run_engine(engine, jobs, *scheduler, *sel, m, speed, record_trace, obs,
-                 injector ? &*injector : nullptr,
-                 telemetry ? &*telemetry : nullptr,
-                 checkpoint_sink ? &*checkpoint_sink : nullptr,
-                 resume_file ? &*resume_file : nullptr,
-                 static_cast<std::size_t>(die_at_decision), decide_budget_ns,
-                 static_cast<std::size_t>(overload_shed));
+      run_simulation(parse_engine(engine), jobs, *scheduler, *sel, options);
 
   std::cout << "scheduler:        " << scheduler->name() << "\n"
             << "jobs:             " << jobs.size() << "\n"
@@ -830,10 +812,14 @@ int cmd_trace(ArgParser& args) {
 
   auto scheduler = make_named_scheduler(scheduler_name, eps);
   auto sel = make_selector(selector, 1);
+  SimOptions options;
+  options.num_procs = m;
+  options.speed = speed;
+  options.record_trace = true;
+  options.obs = &sink;
+  options.faults = injector ? &*injector : nullptr;
   const SimResult result =
-      run_engine(engine, jobs, *scheduler, *sel, m, speed,
-                 /*record_trace=*/true, &sink,
-                 injector ? &*injector : nullptr);
+      run_simulation(parse_engine(engine), jobs, *scheduler, *sel, options);
 
   std::ofstream out_file;
   std::ostream* out = &std::cout;
